@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from importlib import resources
-from typing import Mapping, Protocol, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .corpus import RETAINED_TAGS, AnnotatedToken
 from .errors import EmptyAfterFilter
@@ -135,12 +135,6 @@ def _guess(surface: str) -> tuple[str, str]:
     return _strip_plural(surface), "NOUN"
 
 
-class AnnotationProvider(Protocol):
-    def token_stream(self, raw_text: str) -> list[tuple[str, str]]:
-        """Pre-filter (lemma, coarse tag) stream for one document."""
-        ...
-
-
 class NaiveProvider:
     """Rule-based pipeline over raw text; deterministic and self-contained."""
 
@@ -197,14 +191,3 @@ def filter_stream(stream: Sequence[tuple[str, str]]) -> tuple[AnnotatedToken, ..
     if not retained:
         raise EmptyAfterFilter("no content-word token survived the filter")
     return tuple(retained)
-
-
-def annotate(raw_text: str, provider: AnnotationProvider) -> tuple[AnnotatedToken, ...]:
-    """Annotate one text and keep only content-word tokens.
-
-    Raises EmptyAfterFilter when nothing survives; callers drop (and log)
-    such documents because a zero-support distribution is undefined.
-    """
-    if not raw_text.strip() and not isinstance(provider, PreannotatedProvider):
-        raise EmptyAfterFilter("blank text")
-    return filter_stream(provider.token_stream(raw_text))

@@ -179,22 +179,21 @@ def matched_documents(corpus: Iterable[Document], dish: DishSpec) -> list[Docume
 
 
 def build_split(
-    corpus: Iterable[Document],
-    dish: DishSpec,
+    matched: Sequence[Document],
     origin: str,
     holdout_fraction: float = DEFAULT_HOLDOUT,
     seed: int = 0,
 ) -> CorpusSplit:
-    """Split one (dish, origin) into knowledge and variation documents.
+    """Split one dish's matched documents into knowledge and variations for an origin.
 
-    Origin-country matches are shuffled with the seeded generator and
-    floor(holdout_fraction * n) of them join the variations alongside all
-    other-country matches. Raises IneligibleDish when either side ends up
-    below its floor of two documents.
+    Takes the output of matched_documents (sorted by id, countries
+    resolved). Origin-country matches are shuffled with the seeded
+    generator and floor(holdout_fraction * n) of them join the variations
+    alongside all other-country matches. Raises IneligibleDish, carrying
+    both sizes, when either side ends up below its floor of two documents.
     """
     if not 0.0 <= holdout_fraction < 1.0:
         raise ValueError("holdout_fraction must lie in [0, 1)")
-    matched = matched_documents(corpus, dish)
     origin_docs = [d for d in matched if d.country == origin]
     foreign_docs = [d for d in matched if d.country != origin]
 
@@ -208,9 +207,10 @@ def build_split(
 
     if len(knowledge) < MIN_KNOWLEDGE or len(variations) < MIN_VARIATIONS:
         raise IneligibleDish(
-            f"{dish.canonical_name}/{origin}: knowledge={len(knowledge)}, "
-            f"variations={len(variations)} below floors "
-            f"({MIN_KNOWLEDGE}/{MIN_VARIATIONS})"
+            f"{origin}: knowledge={len(knowledge)}, variations={len(variations)} "
+            f"below floors ({MIN_KNOWLEDGE}/{MIN_VARIATIONS})",
+            kb_size=len(knowledge),
+            variation_count=len(variations),
         )
     return CorpusSplit(
         knowledge=tuple(sorted(knowledge, key=lambda d: d.id)),

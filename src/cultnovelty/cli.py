@@ -45,7 +45,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its fields")
     parser.add_argument("--seed", type=int, help="master random seed")
-    parser.add_argument("--workers", type=int, help="parallel workers for scoring")
     parser.add_argument(
         "--provider",
         choices=("preannotated", "naive"),
@@ -100,7 +99,6 @@ def build_parser() -> _Parser:
 
 _CONFIG_FLAGS = (
     "seed",
-    "workers",
     "annotation_provider",
     "rbo_p",
     "pmi_window",

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from .errors import ConflictingEntry, MissingCoordinates, MissingPair, ParseError, UnknownCountry
+from .errors import ConflictingEntry, MissingCoordinates, ParseError, UnknownCountry
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -155,12 +155,6 @@ class DistanceMatrix:
     def __post_init__(self) -> None:
         if self.kind not in MATRIX_KINDS:
             raise ValueError(f"unknown matrix kind {self.kind!r}")
-
-    def lookup(self, a: str, b: str) -> float:
-        key = _pair_key(a, b)
-        if key not in self.entries:
-            raise MissingPair(f"{self.kind}: no entry for ({a}, {b})")
-        return self.entries[key]
 
     def get(self, a: str, b: str) -> Optional[float]:
         return self.entries.get(_pair_key(a, b))

@@ -44,9 +44,6 @@ class MixtureWeights:
         total = p.token_total + q.token_total
         return cls(pi1=p.token_total / total, pi2=q.token_total / total)
 
-    def swapped(self) -> "MixtureWeights":
-        return MixtureWeights(pi1=self.pi2, pi2=self.pi1)
-
 
 EQUAL_WEIGHTS = MixtureWeights(0.5, 0.5)
 

@@ -43,14 +43,18 @@ class UnknownCountry(CultNoveltyError):
     """An ISO code does not exist in the loaded country registry."""
 
 
-class MissingPair(CultNoveltyError):
-    """A distance matrix has no entry for the requested country pair."""
-
-
 # dataset builder
 
 class IneligibleDish(CultNoveltyError):
-    """A (dish, origin) split violates the knowledge/variation floors."""
+    """A (dish, origin) split violates the knowledge/variation floors.
+
+    kb_size and variation_count are the sizes the split came out with.
+    """
+
+    def __init__(self, message: str, kb_size: int, variation_count: int):
+        super().__init__(message)
+        self.kb_size = kb_size
+        self.variation_count = variation_count
 
 
 # statistics

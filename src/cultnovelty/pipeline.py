@@ -1,7 +1,7 @@
 """Batch pipeline: corpus -> splits -> scores -> statistical reports.
 
 Every stage is a pure function of (inputs, config, seed) and writes its
-rows in canonical order, so reruns are byte-identical at any worker count.
+rows in canonical order, so reruns are byte-identical.
 Float cells hold the shortest string that reads back as the same float, so
 identities such as total = acme + ade hold exactly in the tables too.
 """
@@ -12,8 +12,6 @@ import csv
 import hashlib
 import json
 import logging
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -76,7 +74,6 @@ class RunConfig:
     annotation_provider: str = "preannotated"
     newness_quantile: Optional[float] = None
     n_boot: int = 1000
-    workers: int = 1
     corpus_path: Optional[str] = None
     dish_specs_path: Optional[str] = None
     registry_path: Optional[str] = None
@@ -93,8 +90,6 @@ class RunConfig:
             raise ValueError("rbo_p must lie strictly inside (0, 1)")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must lie in [0, 1)")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.n_boot < 0:
             raise ValueError("n_boot must be >= 0")
         if self.annotation_provider not in ("preannotated", "naive"):
@@ -120,16 +115,6 @@ class RunConfig:
             if value is not None:
                 values[key] = value
         return cls(**values)
-
-    def manifest_view(self) -> dict:
-        """Config as recorded in the run manifest.
-
-        The worker count is an execution detail with no effect on outputs,
-        so it is omitted to keep manifests identical across worker counts.
-        """
-        view = asdict(self)
-        view.pop("workers")
-        return view
 
 
 def fmt_float(value: float) -> str:
@@ -179,7 +164,7 @@ def resolve_countries(docs: Sequence[Document], registry: Registry) -> list[Docu
 
 
 def _run_manifest(config: RunConfig, inputs: dict[str, str], outputs: Sequence[str]) -> dict:
-    view = config.manifest_view()
+    view = asdict(config)
     config_digest = hashlib.sha256(
         json.dumps(view, sort_keys=True).encode("utf-8")
     ).hexdigest()
@@ -220,22 +205,19 @@ def cmd_build(config: RunConfig) -> dict:
         if not matched:
             eligibility_rows.append((dish.canonical_name, "", "0", "0", "no_matches"))
             continue
-        by_country: dict[str, int] = {}
-        for doc in matched:
-            by_country[doc.country] = by_country.get(doc.country, 0) + 1
-        for origin in sorted(by_country):
+        for origin in sorted({doc.country for doc in matched}):
             split_seed = derive_split_seed(config.seed, dish.canonical_name, origin)
             try:
-                split = build_split(
-                    matched, dish, origin, config.holdout_fraction, split_seed
-                )
-            except IneligibleDish:
-                n_origin = by_country[origin]
-                n_holdout = math.floor(config.holdout_fraction * n_origin)
-                kb_size = n_origin - n_holdout
-                var_count = n_holdout + (len(matched) - n_origin)
+                split = build_split(matched, origin, config.holdout_fraction, split_seed)
+            except IneligibleDish as exc:
                 eligibility_rows.append(
-                    (dish.canonical_name, origin, str(kb_size), str(var_count), "ineligible")
+                    (
+                        dish.canonical_name,
+                        origin,
+                        str(exc.kb_size),
+                        str(exc.variation_count),
+                        "ineligible",
+                    )
                 )
                 continue
             manifest = {
@@ -318,25 +300,17 @@ def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Pa
             newness_quantile=config.newness_quantile,
         )
 
-        def score_entry(entry: dict) -> Optional[tuple[str, ...]]:
+        for entry in manifest["variations"]:
             doc = doc_by_id.get(entry["id"])
             if doc is None:
                 log.warning("%s: variation id %r not in corpus, skipped", manifest_path, entry["id"])
-                return None
+                failures += 1
+                continue
             try:
-                return (product, origin, doc.id, entry["country"]) + _score_one(kb, doc, config)
+                rows.append((product, origin, doc.id, entry["country"]) + _score_one(kb, doc, config))
             except CultNoveltyError as exc:
                 log.warning("scoring %s against %s/%s failed: %s", doc.id, product, origin, exc)
-                return None
-
-        entries = manifest["variations"]
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(score_entry, entries))
-        else:
-            results = [score_entry(e) for e in entries]
-        failures += sum(1 for r in results if r is None)
-        rows.extend(r for r in results if r is not None)
+                failures += 1
 
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -41,16 +41,6 @@ class PpmiMatrix:
     def __contains__(self, pair: Pair) -> bool:
         return _pair_key(*pair) in self.pairs
 
-    def row(self, lemma: str) -> dict[str, float]:
-        """PPMI values of all stored pairs containing lemma, keyed by the partner."""
-        out: dict[str, float] = {}
-        for (a, b), v in self.pairs.items():
-            if a == lemma:
-                out[b] = v
-            elif b == lemma:
-                out[a] = v
-        return out
-
 
 def build_ppmi(docs: Union[Document, Iterable[Document]], window: int = 3) -> PpmiMatrix:
     """Build the PPMI matrix of one document or a pooled document set.

@@ -45,7 +45,7 @@ class AnalysisRow:
 
 @dataclass(frozen=True)
 class RegressionResult:
-    """OLS estimates with classical (or sandwich) inference."""
+    """OLS estimates with classical inference."""
 
     coefficients: dict[str, float]
     std_errors: dict[str, float]
@@ -208,12 +208,10 @@ def ols(
     design: np.ndarray,
     y: Sequence[float],
     names: Optional[Sequence[str]] = None,
-    robust: bool = False,
 ) -> RegressionResult:
     """Least squares through a QR decomposition, with classical inference.
 
-    The design matrix must already include its intercept column. With
-    robust=True, standard errors switch to the HC1 sandwich estimator.
+    The design matrix must already include its intercept column.
     """
     X = np.asarray(design, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -241,12 +239,7 @@ def ols(
     df = n - k
     r_inv = np.linalg.solve(r, np.eye(k))
     xtx_inv = r_inv @ r_inv.T
-    if robust:
-        meat = (X * (residuals**2)[:, None]).T @ X
-        cov = xtx_inv @ meat @ xtx_inv * (n / df)
-    else:
-        cov = ssr / df * xtx_inv
-    se = np.sqrt(np.diag(cov))
+    se = np.sqrt(np.diag(ssr / df * xtx_inv))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0, beta / se, np.inf)
     p_values = [_t_p_value(float(t), df) for t in t_stats]

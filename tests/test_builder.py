@@ -106,16 +106,19 @@ def corpus_for_split(n_origin=10, n_foreign=4):
 class TestBuildSplit:
     dish = DishSpec.create("Couscous")
 
+    def split(self, docs, seed):
+        return build_split(matched_documents(docs, self.dish), "MA", 0.3, seed=seed)
+
     def test_holdout_floor(self):
-        split = build_split(corpus_for_split(10), self.dish, "MA", 0.3, seed=5)
+        split = self.split(corpus_for_split(10), seed=5)
         assert len(split.knowledge) == 7
         same_country_variations = [d for d in split.variations if d.country == "MA"]
         assert len(same_country_variations) == 3
         assert len(split.variations) == 7
 
     def test_determinism(self):
-        one = build_split(corpus_for_split(), self.dish, "MA", 0.3, seed=42)
-        two = build_split(corpus_for_split(), self.dish, "MA", 0.3, seed=42)
+        one = self.split(corpus_for_split(), seed=42)
+        two = self.split(corpus_for_split(), seed=42)
         assert [d.id for d in one.knowledge] == [d.id for d in two.knowledge]
         assert [d.id for d in one.variations] == [d.id for d in two.variations]
 
@@ -123,19 +126,20 @@ class TestBuildSplit:
         docs = corpus_for_split()
         shuffled = list(docs)
         random.Random(1).shuffle(shuffled)
-        one = build_split(docs, self.dish, "MA", 0.3, seed=9)
-        two = build_split(shuffled, self.dish, "MA", 0.3, seed=9)
+        one = self.split(docs, seed=9)
+        two = self.split(shuffled, seed=9)
         assert [d.id for d in one.knowledge] == [d.id for d in two.knowledge]
 
     def test_different_seeds_differ(self):
         splits = {
-            tuple(d.id for d in build_split(corpus_for_split(), self.dish, "MA", 0.3, seed=s).knowledge)
+            tuple(d.id for d in self.split(corpus_for_split(), seed=s).knowledge)
             for s in range(8)
         }
         assert len(splits) > 1
 
     def test_disjoint_and_covering(self):
-        split = build_split(corpus_for_split(), self.dish, "MA", 0.3, seed=3)
+        # the tagine document names no couscous alias, so matching excludes it
+        split = self.split(corpus_for_split(), seed=3)
         knowledge_ids = {d.id for d in split.knowledge}
         variation_ids = {d.id for d in split.variations}
         assert not knowledge_ids & variation_ids
@@ -144,15 +148,18 @@ class TestBuildSplit:
         }
 
     def test_variation_floor_violation(self):
-        with pytest.raises(IneligibleDish):
-            build_split(corpus_for_split(2, 0), self.dish, "MA", 0.3, seed=1)
+        with pytest.raises(IneligibleDish) as info:
+            self.split(corpus_for_split(2, 0), seed=1)
+        # floor(0.3 * 2) = 0 held out: both origin documents stay as knowledge
+        assert (info.value.kb_size, info.value.variation_count) == (2, 0)
 
     def test_knowledge_floor_violation(self):
-        with pytest.raises(IneligibleDish):
-            build_split(corpus_for_split(1, 5), self.dish, "MA", 0.3, seed=1)
+        with pytest.raises(IneligibleDish) as info:
+            self.split(corpus_for_split(1, 5), seed=1)
+        assert (info.value.kb_size, info.value.variation_count) == (1, 5)
 
     def test_stamps_product(self):
-        split = build_split(corpus_for_split(), self.dish, "MA", 0.3, seed=3)
+        split = self.split(corpus_for_split(), seed=3)
         assert all(d.product == "Couscous" for d in split.knowledge + split.variations)
 
     def test_override_redirects_country(self):
@@ -166,6 +173,9 @@ class TestBuildSplit:
         ]
         matched = matched_documents(docs, dish)
         assert {d.country for d in matched} == {"GB", "TH"}
+        split = build_split(matched, "GB", 0.3, seed=2)
+        assert {d.country for d in split.knowledge} == {"GB"}
+        assert len(split.knowledge) == 5  # floor(0.3 * 6) = 1 of six held out
 
 
 class TestTopIngredients:

@@ -15,7 +15,6 @@ from cultnovelty.distances import (
 from cultnovelty.errors import (
     ConflictingEntry,
     MissingCoordinates,
-    MissingPair,
     ParseError,
     UnknownCountry,
 )
@@ -128,8 +127,8 @@ class TestDistanceMatrix:
         path = tmp_path / "d.csv"
         path.write_text("iso_a,iso_b,distance\nFR,DE,0.4\n")
         matrix = load_distance_matrix(path, "LINGUISTIC", load_registry())
-        assert matrix.lookup("DE", "FR") == 0.4
-        assert matrix.lookup("FR", "DE") == 0.4
+        assert matrix.get("DE", "FR") == 0.4
+        assert matrix.get("FR", "DE") == 0.4
 
     def test_conflicting_duplicate(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -148,8 +147,6 @@ class TestDistanceMatrix:
         path.write_text("iso_a,iso_b,distance\n")
         matrix = load_distance_matrix(path, "RELIGIOUS", load_registry())
         assert len(matrix) == 0
-        with pytest.raises(MissingPair):
-            matrix.lookup("FR", "DE")
         assert matrix.get("FR", "DE") is None
 
     def test_unknown_iso_rejected(self, tmp_path):

@@ -82,11 +82,6 @@ class TestRunConfig:
         with pytest.raises(Exception):
             RunConfig.load(path)
 
-    def test_manifest_view_hides_workers(self):
-        view = RunConfig(workers=8).manifest_view()
-        assert "workers" not in view
-        assert view["lambda1"] == 0.8
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(lambda1=0.9, lambda2=0.2)
@@ -136,7 +131,8 @@ class TestBuild:
         by_key = {(r[0], r[1]): r for r in rows[1:]}
         # ten origin documents: floor(0.3 * 10) = 3 held out, 7 kept
         assert by_key[("Couscous", "MA")][2:] == ["7", "10", "eligible"]
-        assert by_key[("Pierogi", "JP")][4] == "ineligible"
+        # two Japanese pierogi, none held out: no variation to score
+        assert by_key[("Pierogi", "JP")][2:] == ["2", "0", "ineligible"]
         assert by_key[("Biryani", "")][4] == "no_matches"
 
     def test_manifest_contents(self, tmp_path):
@@ -189,13 +185,6 @@ class TestScore:
             disappearance = float(row[idx["disappearance"]])
             combined = float(row[idx["newness"]])
             assert combined == pytest.approx(0.8 * appearance + 0.2 * disappearance, abs=1e-8)
-
-    def test_workers_do_not_change_output(self, tmp_path):
-        config = config_for(tmp_path)
-        cmd_build(config)
-        serial = cmd_score(config).read_bytes()
-        parallel = cmd_score(config_for(tmp_path, workers=6)).read_bytes()
-        assert serial == parallel
 
     def test_empty_manifest_set(self, tmp_path):
         config = config_for(tmp_path)
@@ -284,15 +273,15 @@ class TestAnalyze:
 
 
 class TestDeterminism:
-    def test_full_pipeline_byte_identical_across_worker_counts(self, tmp_path):
-        config = config_for(tmp_path, workers=1)
+    def test_full_pipeline_byte_identical_across_reruns(self, tmp_path):
+        config = config_for(tmp_path)
         run_pipeline(config)
         first = snapshot(config.output_dir)
 
         for p in sorted(Path(config.output_dir).rglob("*"), reverse=True):
             p.unlink() if p.is_file() else p.rmdir()
 
-        run_pipeline(config_for(tmp_path, workers=5))
+        run_pipeline(config)
         assert snapshot(config.output_dir) == first
 
 
@@ -352,6 +341,22 @@ class TestCli:
             ]
         )
         assert code == 1
+
+    def test_workers_flag_is_a_usage_error(self, tmp_path, capsys):
+        code = main(
+            ["build", "--corpus", CORPUS, "--dishes", DISHES, "--workers", "2",
+             "--output-dir", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_config_naming_workers_exits_two(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"workers": 2}))
+        code = main(["score", "--config", str(config_path), "--corpus", CORPUS,
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "unknown config keys ['workers']" in capsys.readouterr().err
 
     def test_full_run_via_cli(self, tmp_path, capsys):
         out = str(tmp_path / "out")

@@ -202,17 +202,6 @@ class TestOls:
             bound = 1e-8 * np.linalg.norm(y)
             assert np.all(np.abs(design.T @ resid) <= bound)
 
-    def test_robust_flag_changes_errors_only(self):
-        rng = np.random.default_rng(8)
-        n = 80
-        x = rng.normal(size=n)
-        y = 1.0 + x + rng.normal(size=n) * (1 + np.abs(x))
-        design = np.column_stack([np.ones(n), x])
-        classical = ols(design, y, names=("const", "x"))
-        robust = ols(design, y, names=("const", "x"), robust=True)
-        assert classical.coefficients == robust.coefficients
-        assert classical.std_errors != robust.std_errors
-
 
 class TestMediate:
     def make_system(self, seed=123, n=300):
