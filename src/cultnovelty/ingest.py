@@ -46,9 +46,16 @@ def _document_from_record(record: dict, provider_name: str, where: str) -> Docum
         tokens = record.get("tokens")
         if tokens is None:
             raise ParseError(f"{where}: provider is preannotated but record has no tokens")
-        provider = PreannotatedProvider(
-            [{k: _nfc(str(v)) for k, v in tok.items()} for tok in tokens]
-        )
+        if not isinstance(tokens, list):
+            raise ParseError(f"{where}: tokens must be a JSON array")
+        entries = []
+        for i, tok in enumerate(tokens):
+            if not isinstance(tok, dict):
+                raise ParseError(f"{where}: token {i} is not a JSON object")
+            if "lemma" not in tok and "text" not in tok:
+                raise ParseError(f"{where}: token {i} has neither lemma nor text")
+            entries.append({k: _nfc(str(v)) for k, v in tok.items()})
+        provider = PreannotatedProvider(entries)
         raw_text = _nfc(str(record.get("text", "")))
     else:
         raw_text = _nfc(str(record.get("text", "")))
@@ -57,13 +64,17 @@ def _document_from_record(record: dict, provider_name: str, where: str) -> Docum
         provider = NaiveProvider()
 
     stream = provider.token_stream(raw_text)
-    body = filter_stream(stream)
+    try:
+        body = filter_stream(stream)
+    except ValueError as exc:  # a retained lemma AnnotatedToken rejects
+        raise ParseError(f"{where}: {exc}") from exc
 
     country = str(record.get("country", "UNKNOWN")).upper() or "UNKNOWN"
+    raw_ingredients = record.get("ingredients", [])
+    if not isinstance(raw_ingredients, list):
+        raise ParseError(f"{where}: ingredients must be a JSON array")
     ingredients = frozenset(
-        normalize_ingredient(_nfc(str(ing)))
-        for ing in record.get("ingredients", [])
-        if str(ing).strip()
+        normalize_ingredient(_nfc(str(ing))) for ing in raw_ingredients if str(ing).strip()
     )
     return Document(
         id=doc_id,

@@ -269,6 +269,29 @@ def _score_one(kb, doc: Document, config: RunConfig) -> tuple[str, ...]:
     return tuple(fmt_float(v) for v in values)
 
 
+def _read_manifest(path: Path) -> dict:
+    """Load one split manifest and check its shape; malformed input raises ParseError."""
+    try:
+        manifest = json.loads(path.read_text("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{path}: manifest must be a JSON object")
+    for key in ("product", "origin", "knowledge_ids", "variations"):
+        if key not in manifest:
+            raise ParseError(f"{path}: manifest has no {key!r}")
+    for key in ("knowledge_ids", "variations"):
+        if not isinstance(manifest[key], list):
+            raise ParseError(f"{path}: {key} must be a JSON array")
+    for i, entry in enumerate(manifest["variations"]):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: variation {i} is not a JSON object")
+        for key in ("id", "country"):
+            if key not in entry:
+                raise ParseError(f"{path}: variation {i} has no {key!r}")
+    return manifest
+
+
 def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Path]]] = None) -> Path:
     """Score every manifest's variations; one CSV row per (split, variation)."""
     if not config.corpus_path:
@@ -282,10 +305,7 @@ def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Pa
     rows: list[tuple[str, ...]] = []
     failures = 0
     for manifest_path in sorted(Path(p) for p in manifest_paths):
-        try:
-            manifest = json.loads(Path(manifest_path).read_text("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{manifest_path}: invalid JSON ({exc})") from exc
+        manifest = _read_manifest(manifest_path)
         product = manifest["product"]
         origin = manifest["origin"]
         try:
@@ -333,7 +353,14 @@ def _read_scores(path: Path) -> list[dict]:
         for raw in reader:
             row = dict(raw)
             for col in METRIC_COLUMNS + CONTROL_COLUMNS:
-                row[col] = float(row[col])
+                if row[col] is None:
+                    raise ParseError(f"{path}:{reader.line_num}: {col} is missing")
+                try:
+                    row[col] = float(row[col])
+                except ValueError:
+                    raise ParseError(
+                        f"{path}:{reader.line_num}: {col} is not a number: {row[col]!r}"
+                    ) from None
             rows.append(row)
     return rows
 

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -399,3 +402,101 @@ class TestCli:
         assert main(["score"] + base) == 0
         rows = read_csv(Path(out) / "scores.csv")
         assert len(rows) > 1
+
+
+def write_corpus_with(tmp_path, bad_record):
+    """The fixture corpus with one malformed record appended; returns (path, its line)."""
+    lines = Path(CORPUS).read_text(encoding="utf-8").splitlines()
+    lines.append(json.dumps(bad_record))
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path), len(lines)
+
+
+def bad_record(**fields):
+    record = {"id": "bad", "title": "Moroccan Couscous", "ingredients": ["salt"],
+              "tokens": [{"lemma": "salt", "pos": "NOUN"}]}
+    record.update(fields)
+    return record
+
+
+class TestBadCorpusRecords:
+    @pytest.mark.parametrize(
+        "record",
+        [
+            bad_record(tokens=[{"lemma": "olive oil", "pos": "NOUN"}]),
+            bad_record(tokens=["salt"]),
+            bad_record(tokens=[{"pos": "NOUN"}]),
+            bad_record(tokens="abc"),
+            bad_record(ingredients=5),
+        ],
+        ids=["lemma_with_space", "token_not_object", "token_without_lemma_or_text",
+             "tokens_not_array", "ingredients_not_array"],
+    )
+    def test_build_exits_two_with_path_and_line(self, tmp_path, capsys, record):
+        corpus, line = write_corpus_with(tmp_path, record)
+        code = main(["build", "--corpus", corpus, "--dishes", DISHES,
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{corpus}:{line}:" in capsys.readouterr().err
+
+
+class TestBadScoreInputs:
+    @pytest.fixture
+    def built(self, tmp_path):
+        config = config_for(tmp_path)
+        cmd_build(config)
+        return Path(config.output_dir)
+
+    def score_with_manifest(self, built, capsys, payload):
+        path = built / "manifests" / "couscous__MA.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps(payload(manifest)))
+        code = main(["score", "--corpus", CORPUS, "--output-dir", str(built)])
+        return code, path, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            (lambda m: [m], "manifest must be a JSON object"),
+            (lambda m: {k: v for k, v in m.items() if k != "product"}, "manifest has no 'product'"),
+            (lambda m: {k: v for k, v in m.items() if k != "origin"}, "manifest has no 'origin'"),
+            (lambda m: {k: v for k, v in m.items() if k != "knowledge_ids"}, "manifest has no 'knowledge_ids'"),
+            (lambda m: {**m, "knowledge_ids": 7}, "knowledge_ids must be a JSON array"),
+            (lambda m: {**m, "variations": [{"country": "MA"}]}, "variation 0 has no 'id'"),
+            (lambda m: {**m, "variations": [{"id": m["variations"][0]["id"]}]},
+             "variation 0 has no 'country'"),
+        ],
+        ids=["not_object", "no_product", "no_origin", "no_knowledge_ids",
+             "knowledge_ids_not_array", "variation_without_id", "variation_without_country"],
+    )
+    def test_bad_manifest_exits_two(self, built, capsys, payload, message):
+        code, path, err = self.score_with_manifest(built, capsys, payload)
+        assert code == 2
+        assert f"{path}: {message}" in err
+        assert not (built / "scores.csv").exists()
+
+    @pytest.mark.parametrize(
+        "cell,message",
+        [("abc", "newness is not a number: 'abc'"), (None, "newness is missing")],
+        ids=["non_numeric", "missing"],
+    )
+    def test_bad_score_cell_exits_two(self, built, capsys, cell, message):
+        cmd_score(config_for(built.parent))
+        scores = built / "scores.csv"
+        rows = read_csv(scores)
+        at = rows[0].index("newness")
+        rows[3] = rows[3][:at] if cell is None else rows[3][:at] + [cell] + rows[3][at + 1:]
+        with scores.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        code = main(["analyze", "--output-dir", str(built)])
+        assert code == 2
+        assert f"{scores}:4: {message}" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats costs 0.5-1.1 s, which every CLI stage would pay
+    code = "import cultnovelty.cli, sys; assert 'scipy.stats' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
