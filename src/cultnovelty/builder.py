@@ -184,10 +184,10 @@ def build_split(
     holdout_fraction: float = DEFAULT_HOLDOUT,
     seed: int = 0,
 ) -> CorpusSplit:
-    """Split one dish's matched documents into knowledge and variations for an origin.
+    """Split one dish's matches into knowledge and variations for one origin.
 
-    Takes the output of matched_documents (sorted by id, countries
-    resolved). Origin-country matches are shuffled with the seeded
+    matched is the output of matched_documents: sorted by id, countries
+    resolved. Origin-country matches are shuffled with the seeded
     generator and floor(holdout_fraction * n) of them join the variations
     alongside all other-country matches. Raises IneligibleDish, carrying
     both sizes, when either side ends up below its floor of two documents.

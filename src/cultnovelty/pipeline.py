@@ -283,12 +283,16 @@ def _read_manifest(path: Path) -> dict:
     for key in ("knowledge_ids", "variations"):
         if not isinstance(manifest[key], list):
             raise ParseError(f"{path}: {key} must be a JSON array")
+    if not all(isinstance(doc_id, str) for doc_id in manifest["knowledge_ids"]):
+        raise ParseError(f"{path}: knowledge_ids must all be strings")
     for i, entry in enumerate(manifest["variations"]):
         if not isinstance(entry, dict):
             raise ParseError(f"{path}: variation {i} is not a JSON object")
         for key in ("id", "country"):
             if key not in entry:
                 raise ParseError(f"{path}: variation {i} has no {key!r}")
+        if not isinstance(entry["id"], str):
+            raise ParseError(f"{path}: variation {i} id must be a string")
     return manifest
 
 

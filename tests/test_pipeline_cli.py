@@ -463,12 +463,16 @@ class TestBadScoreInputs:
             (lambda m: {k: v for k, v in m.items() if k != "origin"}, "manifest has no 'origin'"),
             (lambda m: {k: v for k, v in m.items() if k != "knowledge_ids"}, "manifest has no 'knowledge_ids'"),
             (lambda m: {**m, "knowledge_ids": 7}, "knowledge_ids must be a JSON array"),
+            (lambda m: {**m, "knowledge_ids": [["r001"]]}, "knowledge_ids must all be strings"),
             (lambda m: {**m, "variations": [{"country": "MA"}]}, "variation 0 has no 'id'"),
             (lambda m: {**m, "variations": [{"id": m["variations"][0]["id"]}]},
              "variation 0 has no 'country'"),
+            (lambda m: {**m, "variations": [{"id": 5, "country": "MA"}]},
+             "variation 0 id must be a string"),
         ],
         ids=["not_object", "no_product", "no_origin", "no_knowledge_ids",
-             "knowledge_ids_not_array", "variation_without_id", "variation_without_country"],
+             "knowledge_ids_not_array", "knowledge_id_not_string", "variation_without_id",
+             "variation_without_country", "variation_id_not_string"],
     )
     def test_bad_manifest_exits_two(self, built, capsys, payload, message):
         code, path, err = self.score_with_manifest(built, capsys, payload)
