@@ -448,13 +448,6 @@ class TestBadScoreInputs:
         cmd_build(config)
         return Path(config.output_dir)
 
-    def score_with_manifest(self, built, capsys, payload):
-        path = built / "manifests" / "couscous__MA.json"
-        manifest = json.loads(path.read_text())
-        path.write_text(json.dumps(payload(manifest)))
-        code = main(["score", "--corpus", CORPUS, "--output-dir", str(built)])
-        return code, path, capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "payload,message",
         [
@@ -475,9 +468,10 @@ class TestBadScoreInputs:
              "variation_without_country", "variation_id_not_string"],
     )
     def test_bad_manifest_exits_two(self, built, capsys, payload, message):
-        code, path, err = self.score_with_manifest(built, capsys, payload)
-        assert code == 2
-        assert f"{path}: {message}" in err
+        path = built / "manifests" / "couscous__MA.json"
+        path.write_text(json.dumps(payload(json.loads(path.read_text()))))
+        assert main(["score", "--corpus", CORPUS, "--output-dir", str(built)]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
         assert not (built / "scores.csv").exists()
 
     @pytest.mark.parametrize(
@@ -499,7 +493,7 @@ class TestBadScoreInputs:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # importing scipy.stats costs 0.5-1.1 s, which every CLI stage would pay
+    # importing scipy.stats costs 0.5-1.1 s, which every CLI stage process would pay
     code = "import cultnovelty.cli, sys; assert 'scipy.stats' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]))
