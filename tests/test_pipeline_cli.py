@@ -29,6 +29,20 @@ DISHES = str(FIXTURES / "dishes_sample.json")
 LINGUISTIC = str(FIXTURES / "linguistic.csv")
 RELIGIOUS = str(FIXTURES / "religious.csv")
 
+# Expected outputs of `build -> score -> analyze` on the fixtures at seed 17 with
+# --n-boot 50 (the config_for defaults), minus run_manifest.json, which holds
+# paths. Regenerate only in a commit of its own, naming the cause:
+#   for c in build score analyze; do PYTHONPATH=src python -m cultnovelty.cli $c \
+#     --corpus tests/fixtures/recipes_50.jsonl --dishes tests/fixtures/dishes_sample.json \
+#     --linguistic tests/fixtures/linguistic.csv --religious tests/fixtures/religious.csv \
+#     --seed 17 --n-boot 50 --output-dir tests/fixtures/golden; done
+#   rm tests/fixtures/golden/run_manifest.json
+GOLDEN = FIXTURES / "golden"
+GOLDEN_EXACT = sorted(
+    str(p.relative_to(GOLDEN)) for p in GOLDEN.rglob("*") if p.is_file() and p.name != "mediation.csv"
+)
+MEDIATION_EXACT_COLUMNS = {"distance", "metric", "mediator", "n", "acme_p", "ade_p", "total_p"}
+
 
 def config_for(tmp_path, **overrides):
     values = dict(
@@ -252,6 +266,28 @@ class TestAnalyze:
             acme = float(row[idx["acme"]])
             ade = float(row[idx["ade"]])
             assert total == acme + ade
+
+    @pytest.mark.parametrize("name", GOLDEN_EXACT)
+    def test_output_matches_golden_bytes(self, analyzed, name):
+        assert (analyzed / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_manifest_set_matches_golden(self, analyzed):
+        got, want = ([p.name for p in (d / "manifests").iterdir()] for d in (analyzed, GOLDEN))
+        assert sorted(got) == sorted(want)
+
+    def test_mediation_matches_golden(self, analyzed):
+        # bootstrap statistics may move in their last digits with the summation
+        # order; labels, row order and bootstrap p-values may not
+        got = read_csv(analyzed / "mediation.csv")
+        want = read_csv(GOLDEN / "mediation.csv")
+        assert got[0] == want[0] and len(got) == len(want)
+        for got_row, want_row in zip(got[1:], want[1:]):
+            for column, g, w in zip(want[0], got_row, want_row):
+                if column in MEDIATION_EXACT_COLUMNS or w == "":
+                    assert g == w, (want_row[:3], column)
+                else:
+                    assert math.isclose(float(g), float(w), rel_tol=1e-12, abs_tol=0.0), (
+                        want_row[:3], column, g, w)
 
     def test_cells_are_plain_numbers(self, analyzed):
         for path in sorted(analyzed.glob("*.csv")):
