@@ -92,6 +92,13 @@ def load_dish_specs(path: Union[str, Path]) -> list[DishSpec]:
         raise ParseError(f"{path}: expected a JSON array of dish specs")
     specs = []
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: dish entry {i}: must be a JSON object")
+        # a string would otherwise be read letter by letter, and a list has no .items()
+        for key, kind, name in (("aliases", list, "array"), ("excluded", list, "array"),
+                                ("country_overrides", dict, "object")):
+            if not isinstance(entry.get(key, kind()), kind):
+                raise ParseError(f"{path}: dish entry {i}: {key} must be a JSON {name}")
         try:
             specs.append(
                 DishSpec.create(

@@ -12,9 +12,9 @@ import csv
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Union, get_args, get_type_hints
 
 import numpy as np
 
@@ -106,10 +106,16 @@ class RunConfig:
                 raise ParseError(f"{path}: invalid JSON ({exc})") from exc
             if not isinstance(raw, dict):
                 raise ParseError(f"{path}: config must be a JSON object")
-            known = {f.name for f in fields(cls)}
-            unknown = set(raw) - known
+            hints = get_type_hints(cls)
+            unknown = set(raw) - set(hints)
             if unknown:
                 raise ParseError(f"{path}: unknown config keys {sorted(unknown)}")
+            for key, value in raw.items():
+                allowed = get_args(hints[key]) or (hints[key],)
+                if float in allowed:
+                    allowed += (int,)
+                if isinstance(value, bool) or not isinstance(value, allowed):
+                    raise ParseError(f"{path}: config key {key!r} has the wrong type: {value!r}")
             values.update(raw)
         for key, value in (overrides or {}).items():
             if value is not None:
@@ -522,10 +528,7 @@ def _mediation_table(rows: list[dict], config: RunConfig) -> list[list[str]]:
             for mediator in CONTROL_COLUMNS:
                 m_series = [r[mediator] for r in subset]
                 try:
-                    result = mediate(
-                        t_series, m_series, y, controls=None,
-                        n_boot=config.n_boot, seed=config.seed,
-                    )
+                    result = mediate(t_series, m_series, y, n_boot=config.n_boot, seed=config.seed)
                 except CultNoveltyError as exc:
                     log.warning(
                         "analyze: mediation %s/%s/%s skipped (%s)", kind, metric, mediator, exc

@@ -1,21 +1,25 @@
 """Self-contained statistics for the validation pipeline.
 
 Correlation (Pearson, tau-b), top-weighted ranking overlap, OLS with
-classical inference, and linear product-of-coefficients mediation with a
-seeded nonparametric bootstrap. Implementations are written against
-numpy directly; the test suite checks them against independent oracles.
+classical inference, and linear product-of-coefficients mediation (Imai,
+Keele & Tingley 2010) with a seeded percentile bootstrap (Efron &
+Tibshirani 1993). The bootstrap draws each (seed, n, n_boot) resample set
+once and solves every replicate from count-weighted Gram matrices of the
+standardized data; rank-deficient replicates fall back to minimum-norm
+least squares. Implementations are written against numpy directly; the
+test suite checks them against independent oracles. ``scipy.special`` is
+imported on first use, so importing the package does not pay for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special
 
-from .corpus import ControlVars
 from .errors import (
     AllTied,
     ConstantSeries,
@@ -24,23 +28,12 @@ from .errors import (
     LengthMismatch,
     RankDeficient,
 )
-from .metrics import NoveltyScores
 
-
-@dataclass(frozen=True)
-class AnalysisRow:
-    """One scored variation joined with controls and the four distances."""
-
-    product: str
-    kb_culture: str
-    variation_id: str
-    variation_culture: str
-    scores: NoveltyScores
-    controls: ControlVars
-    iw: Optional[float] = None
-    geo: Optional[float] = None
-    linguistic: Optional[float] = None
-    religious: Optional[float] = None
+# replicates per weighted Gram block: bounds the float copy of the count matrix
+_BOOT_BLOCK = 64
+# a Gram block whose eigenvalue ratio falls below this is refit by lstsq; the
+# normal equations lose up to about eps / ratio relative, so 1e-4 keeps them near 1e-11
+_MIN_EIGEN_RATIO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -87,6 +80,8 @@ def _t_p_value(t: float, df: int) -> float:
     """Two-sided p of a t statistic via the regularized incomplete beta."""
     if math.isinf(t):
         return 0.0
+    from scipy import special
+
     return float(special.betainc(df / 2.0, 0.5, df / (df + t * t)))
 
 
@@ -151,6 +146,8 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     if var <= 0.0:
         return tau, 1.0
     z = concordant_minus_discordant / math.sqrt(var)
+    from scipy import special
+
     p = float(special.erfc(abs(z) / math.sqrt(2.0)))
     return tau, min(1.0, p)
 
@@ -255,22 +252,68 @@ def ols(
     )
 
 
-def _mediation_point(
-    t: np.ndarray, m: np.ndarray, y: np.ndarray, controls: np.ndarray
-) -> tuple[float, float]:
-    """(acme, ade) from the two OLS fits, via lstsq for speed in the bootstrap."""
-    n = len(t)
-    ones = np.ones(n)
-    design_m = np.column_stack([ones, t, controls]) if controls.size else np.column_stack([ones, t])
-    a = float(np.linalg.lstsq(design_m, m, rcond=None)[0][1])
-    design_y = (
-        np.column_stack([ones, t, m, controls])
-        if controls.size
-        else np.column_stack([ones, t, m])
-    )
-    coef_y = np.linalg.lstsq(design_y, y, rcond=None)[0]
+def _mediation_point(t: np.ndarray, m: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(acme, ade) from the two minimum-norm least-squares fits."""
+    ones = np.ones(len(t))
+    a = float(np.linalg.lstsq(np.column_stack([ones, t]), m, rcond=None)[0][1])
+    coef_y = np.linalg.lstsq(np.column_stack([ones, t, m]), y, rcond=None)[0]
     c_prime, b = float(coef_y[1]), float(coef_y[2])
     return a * b, c_prime
+
+
+def _resample_indices(seed: int, n: int, replicate: int) -> np.ndarray:
+    """Rows of one bootstrap replicate, drawn from child ``replicate`` of SeedSequence(seed).
+
+    ``SeedSequence(seed, spawn_key=(i,))`` is the i-th child that
+    ``SeedSequence(seed).spawn`` returns, so any replicate can be redrawn alone.
+    """
+    child = np.random.SeedSequence(seed, spawn_key=(replicate,))
+    return np.random.default_rng(child).integers(0, n, size=n)
+
+
+@lru_cache(maxsize=1)
+def _resample_counts(seed: int, n: int, n_boot: int) -> np.ndarray:
+    """Read-only n_boot x n matrix of how often each row is drawn in each replicate.
+
+    Mediations over the same seed and row count draw the same resamples, so
+    consecutive calls share one draw.
+    """
+    dtype = np.uint16 if n <= np.iinfo(np.uint16).max else np.uint32
+    counts = np.empty((n_boot, n), dtype=dtype)
+    for i in range(n_boot):
+        counts[i] = np.bincount(_resample_indices(seed, n, i), minlength=n)
+    counts.flags.writeable = False
+    return counts
+
+
+def _standardize(v: np.ndarray) -> tuple[np.ndarray, float]:
+    scale = float(v.std()) or 1.0
+    return (v - v.mean()) / scale, scale
+
+
+def _weighted_effects(
+    weights: np.ndarray, outer: np.ndarray, scales: tuple[float, float, float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(acme, ade, singular) of each row of case weights.
+
+    ``outer`` holds each observation's outer product of [1, t', m', y'] over
+    standardized columns, so ``weights @ outer`` is every replicate's Gram
+    matrix. m ~ 1 + t is its leading 2x2 block and y ~ 1 + t + m its leading
+    3x3 block; shifting and scaling change the slopes only by the scale ratios.
+    Rows flagged singular hold placeholders and must be refit.
+    """
+    t_scale, m_scale, y_scale = scales
+    gram = (weights @ outer).reshape(-1, 4, 4)
+    # the 2x2 block is a principal submatrix of the 3x3 one, so by eigenvalue
+    # interlacing its ratio is never the smaller of the two
+    eig = np.linalg.eigvalsh(gram[:, :3, :3])
+    singular = eig[:, 0] < _MIN_EIGEN_RATIO * eig[:, 2]
+    gram[singular] = np.eye(4)
+    a = np.linalg.solve(gram[:, :2, :2], gram[:, :2, 2:3])[:, 1, 0] * (m_scale / t_scale)
+    coef = np.linalg.solve(gram[:, :3, :3], gram[:, :3, 3:4])[:, :, 0]
+    b = coef[:, 2] * (y_scale / m_scale)
+    ade = coef[:, 1] * (y_scale / t_scale)
+    return a * b, ade, singular
 
 
 def _percentile_ci(samples: np.ndarray) -> tuple[float, float]:
@@ -288,29 +331,29 @@ def mediate(
     treatment: Sequence[float],
     mediator: Sequence[float],
     outcome: Sequence[float],
-    controls: Optional[Sequence[Sequence[float]]] = None,
     n_boot: int = 1000,
     seed: int = 0,
 ) -> MediationResult:
     """Linear product-of-coefficients mediation with bootstrap inference.
 
-    Fits mediator ~ treatment (+controls) and outcome ~ treatment +
-    mediator (+controls); the mediated effect is the product a*b, the
-    direct effect is the treatment coefficient of the second fit, and the
-    total is their sum. Percentile intervals and p-values come from a
-    seeded nonparametric bootstrap whose per-replicate substreams make the
-    result independent of evaluation order.
+    Fits mediator ~ treatment and outcome ~ treatment + mediator; the
+    mediated effect is the product a*b, the direct effect is the treatment
+    coefficient of the second fit, and the total is their sum. Percentile
+    intervals and p-values come from a seeded nonparametric bootstrap whose
+    per-replicate substreams make the result independent of evaluation
+    order. The point estimate is the replicate whose every weight is one.
     """
     t, m = _paired(treatment, mediator, min_n=10)
     _, y = _paired(treatment, outcome, min_n=10)
-    if controls is None:
-        ctrl = np.empty((len(t), 0))
-    else:
-        ctrl = np.column_stack([np.asarray(c, dtype=float) for c in controls]) if len(controls) else np.empty((len(t), 0))
-        if ctrl.shape[0] != len(t):
-            raise LengthMismatch("control series length differs from treatment")
+    n = len(t)
+    columns, scales = zip(*(_standardize(v) for v in (t, m, y)))
+    design = np.column_stack((np.ones(n),) + columns)
+    outer = (design[:, :, None] * design[:, None, :]).reshape(n, 16)
 
-    acme, ade = _mediation_point(t, m, y, ctrl)
+    point_acme, point_ade, singular = _weighted_effects(np.ones((1, n)), outer, scales)
+    if singular[0]:
+        point_acme[0], point_ade[0] = _mediation_point(t, m, y)
+    acme, ade = float(point_acme[0]), float(point_ade[0])
     total = acme + ade
 
     if n_boot <= 0:
@@ -320,14 +363,17 @@ def mediate(
             acme_p=None, ade_p=None, total_p=None, n_boot=0,
         )
 
-    n = len(t)
-    children = np.random.SeedSequence(seed).spawn(n_boot)
+    counts = _resample_counts(seed, n, n_boot)
     acme_samples = np.empty(n_boot)
     ade_samples = np.empty(n_boot)
-    for i in range(n_boot):
-        rng = np.random.default_rng(children[i])
-        idx = rng.integers(0, n, size=n)
-        acme_samples[i], ade_samples[i] = _mediation_point(t[idx], m[idx], y[idx], ctrl[idx])
+    for start in range(0, n_boot, _BOOT_BLOCK):
+        block = slice(start, start + _BOOT_BLOCK)
+        acme_samples[block], ade_samples[block], singular = _weighted_effects(
+            counts[block].astype(float), outer, scales
+        )
+        for i in start + np.flatnonzero(singular):
+            idx = _resample_indices(seed, n, i)
+            acme_samples[i], ade_samples[i] = _mediation_point(t[idx], m[idx], y[idx])
     total_samples = acme_samples + ade_samples
 
     return MediationResult(

@@ -8,6 +8,8 @@ from collections import Counter
 from itertools import combinations
 from math import asin, atan2, cos, floor, log2, radians, sin, sqrt
 
+import numpy as np
+
 
 def dist_of(tokens):
     counts = Counter(tokens)
@@ -235,3 +237,40 @@ def all_partitions(items):
         for i in range(len(partition)):
             yield partition[:i] + [partition[i] | {first}] + partition[i + 1 :]
         yield partition + [{first}]
+
+
+def oracle_mediate(t, m, y, n_boot, seed):
+    """Product-of-coefficients mediation, one lstsq pair per bootstrap replicate.
+
+    Returns {"acme", "ade", "total"} point estimates and, for n_boot > 0, the
+    2.5/97.5 percentile interval and sign-count p-value of each effect under
+    the keys "<effect>_ci" and "<effect>_p".
+    """
+    t, m, y = (np.asarray(v, dtype=float) for v in (t, m, y))
+
+    def effects(ts, ms, ys):
+        ones = np.ones(len(ts))
+        a = np.linalg.lstsq(np.column_stack([ones, ts]), ms, rcond=None)[0][1]
+        coef = np.linalg.lstsq(np.column_stack([ones, ts, ms]), ys, rcond=None)[0]
+        return float(a) * float(coef[2]), float(coef[1])
+
+    acme, ade = effects(t, m, y)
+    out = {"acme": acme, "ade": ade, "total": acme + ade}
+    if n_boot <= 0:
+        return out
+    n = len(t)
+    samples = {"acme": [], "ade": [], "total": []}
+    for child in np.random.SeedSequence(seed).spawn(n_boot):
+        idx = np.random.default_rng(child).integers(0, n, size=n)
+        a_b, c_prime = effects(t[idx], m[idx], y[idx])
+        samples["acme"].append(a_b)
+        samples["ade"].append(c_prime)
+        samples["total"].append(a_b + c_prime)
+    for name, values in samples.items():
+        values = np.array(values)
+        lo, hi = np.percentile(values, [2.5, 97.5])
+        out[f"{name}_ci"] = (float(lo), float(hi))
+        below = np.mean(values <= 0.0)
+        above = np.mean(values >= 0.0)
+        out[f"{name}_p"] = min(1.0, 2.0 * float(min(below, above)))
+    return out

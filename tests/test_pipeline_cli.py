@@ -397,6 +397,31 @@ class TestCli:
         assert code == 2
         assert "unknown config keys ['workers']" in capsys.readouterr().err
 
+    def test_config_value_of_wrong_type_exits_two(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"pmi_window": "3"}))
+        code = main(["build", "--config", str(config_path), "--corpus", CORPUS, "--dishes", DISHES,
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{config_path}: config key 'pmi_window' has the wrong type: '3'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "field,message",
+        [({"country_overrides": ["x"]}, "country_overrides must be a JSON object"),
+         ({"aliases": "couscous"}, "aliases must be a JSON array"),
+         ({"excluded": "sweet"}, "excluded must be a JSON array")],
+        ids=["overrides_not_object", "aliases_not_array", "excluded_not_array"],
+    )
+    def test_dish_field_of_wrong_type_exits_two(self, tmp_path, capsys, field, message):
+        dishes = tmp_path / "dishes.json"
+        dishes.write_text(json.dumps([{"name": "Couscous", **field}]))
+        code = main(["build", "--corpus", CORPUS, "--dishes", str(dishes),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{dishes}: dish entry 0: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_full_run_via_cli(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         base = ["--corpus", CORPUS, "--output-dir", out, "--seed", "17", "--n-boot", "10"]
@@ -529,8 +554,9 @@ class TestBadScoreInputs:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # importing scipy.stats costs 0.5-1.1 s, which every CLI stage process would pay
-    code = "import cultnovelty.cli, sys; assert 'scipy.stats' not in sys.modules"
+    # importing scipy.stats costs 0.5-1.1 s and scipy.special about 0.4 s, which
+    # every CLI stage process would pay; only analyze's statistics need scipy.special
+    code = "import cultnovelty.cli, sys; assert not {'scipy.stats', 'scipy.special'} & set(sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)

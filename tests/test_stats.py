@@ -1,8 +1,11 @@
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cultnovelty.errors import (
     AllTied,
@@ -12,9 +15,9 @@ from cultnovelty.errors import (
     LengthMismatch,
     RankDeficient,
 )
-from cultnovelty.stats import kendall_tau, mediate, ols, pearson, rbo
+from cultnovelty.stats import _resample_counts, kendall_tau, mediate, ols, pearson, rbo
 
-from oracles import oracle_rbo
+from oracles import oracle_mediate, oracle_rbo
 
 
 class TestPearson:
@@ -245,11 +248,53 @@ class TestMediate:
         assert result.acme_ci is None and result.ade_p is None
         assert result.total_effect == result.acme + result.ade
 
-    def test_controls_accepted(self):
-        t, m, y = self.make_system()
-        ctrl = np.linspace(0, 1, len(t))
-        result = mediate(t, m, y, controls=[ctrl], n_boot=20, seed=1)
-        assert result.acme == pytest.approx(6.0, abs=0.5)
+    @staticmethod
+    def assert_matches_oracle(t, m, y, n_boot, seed):
+        got = mediate(t, m, y, n_boot=n_boot, seed=seed)
+        want = oracle_mediate(t, m, y, n_boot, seed)
+        close = partial(pytest.approx, rel=1e-10, abs=1e-12)
+        assert got.acme == close(want["acme"])
+        assert got.ade == close(want["ade"])
+        assert got.total_effect == close(want["total"])
+        assert got.total_effect == got.acme + got.ade
+        if n_boot == 0:
+            assert got.acme_ci is None and got.total_p is None
+            return
+        for name in ("acme", "ade", "total"):
+            assert getattr(got, f"{name}_ci") == close(want[f"{name}_ci"])
+            assert getattr(got, f"{name}_p") == want[f"{name}_p"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(10, 80),
+        n_boot=st.integers(0, 200),
+        seed=st.integers(0, 2**32 - 1),
+        data_seed=st.integers(0, 2**32 - 1),
+        levels=st.sampled_from([0, 2, 3]),
+    )
+    def test_matches_oracle(self, n, n_boot, seed, data_seed, levels):
+        # levels 2 and 3 give treatments with that many distinct values, so some
+        # replicates draw a constant treatment and need the least-squares refit
+        rng = np.random.default_rng(data_seed)
+        t = rng.integers(0, levels, size=n).astype(float) if levels else rng.normal(size=n)
+        m = 0.8 * t + rng.normal(size=n)
+        y = 0.5 * m - 0.3 * t + rng.normal(size=n)
+        self.assert_matches_oracle(t, m, y, n_boot, seed)
+
+    def test_rank_deficient_replicates_match_oracle(self):
+        t = np.array([0.0] * 9 + [1.0])
+        rng = np.random.default_rng(31)
+        m = 0.8 * t + rng.normal(size=10)
+        y = 0.5 * m + rng.normal(size=10)
+        # about a third of the replicates never draw the one treated row
+        assert np.sum(_resample_counts(5, 10, 200)[:, 9] == 0) > 50
+        self.assert_matches_oracle(t, m, y, 200, 5)
+
+    def test_resample_counts_shared_and_read_only(self):
+        counts = _resample_counts(7, 30, 40)
+        assert counts is _resample_counts(7, 30, 40)
+        assert counts.shape == (40, 30) and not counts.flags.writeable
+        assert np.all(counts.sum(axis=1) == 30)
 
     def test_too_short(self):
         with pytest.raises(InsufficientObservations):
