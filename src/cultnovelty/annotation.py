@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from importlib import resources
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .corpus import RETAINED_TAGS, AnnotatedToken
 from .errors import EmptyAfterFilter
@@ -162,21 +162,16 @@ class PreannotatedProvider:
 
     name = "preannotated"
 
-    def __init__(self, entries: Sequence[Union[Mapping[str, str], tuple[str, str]]]):
+    def __init__(self, entries: Sequence[Mapping[str, str]]):
         self._entries = entries
 
     def token_stream(self, raw_text: str) -> list[tuple[str, str]]:
         stream: list[tuple[str, str]] = []
         for entry in self._entries:
-            if isinstance(entry, Mapping):
-                tag = coarse_tag(str(entry.get("pos", "OTHER")))
-                lemma = entry.get("lemma")
-                if lemma is None:
-                    lemma = lemmatize(str(entry["text"]), tag)
-            else:
-                surface, raw_tag = entry
-                tag = coarse_tag(raw_tag)
-                lemma = lemmatize(surface, tag)
+            tag = coarse_tag(str(entry.get("pos", "OTHER")))
+            lemma = entry.get("lemma")
+            if lemma is None:
+                lemma = lemmatize(str(entry["text"]), tag)
             stream.append((str(lemma).lower(), tag))
         return stream
 

@@ -1,10 +1,9 @@
-"""Dataset construction: country detection, dish matching, splits, clustering.
+"""Dataset construction: country detection, dish matching, splits.
 
 Reproduces the corpus-construction protocol on a user-supplied recipe
-corpus: detect a country in each title, match dish aliases, split each
-(dish, origin) into a knowledge set and variations with a seeded 30%
-same-country hold-out, and cluster countries by shared popular
-ingredients under greedy modularity maximization.
+corpus: detect a country in each title, match dish aliases, and split
+each (dish, origin) into a knowledge set and variations with a seeded
+30% same-country hold-out.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import json
 import math
 import random
 import re
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -21,10 +19,9 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .corpus import Document
 from .distances import Registry
-from .errors import EmptyCorpus, IneligibleDish, ParseError
+from .errors import IneligibleDish, ParseError
 
 DEFAULT_HOLDOUT = 0.3
-DEFAULT_TOP_FRACTION = 0.2
 MIN_KNOWLEDGE = 2
 MIN_VARIATIONS = 2
 
@@ -67,18 +64,6 @@ class CorpusSplit:
 
     knowledge: tuple[Document, ...]
     variations: tuple[Document, ...]
-    holdout_seed: int
-
-
-@dataclass(frozen=True)
-class CountryCluster:
-    """One community of the ingredient-similarity partition.
-
-    modularity is the partition-level score, repeated on every cluster.
-    """
-
-    members: frozenset[str]
-    modularity: float
 
 
 def load_dish_specs(path: Union[str, Path]) -> list[DishSpec]:
@@ -222,147 +207,4 @@ def build_split(
     return CorpusSplit(
         knowledge=tuple(sorted(knowledge, key=lambda d: d.id)),
         variations=tuple(sorted(variations, key=lambda d: d.id)),
-        holdout_seed=seed,
     )
-
-
-def top_ingredients(docs: Sequence[Document], top_fraction: float = DEFAULT_TOP_FRACTION) -> frozenset[str]:
-    """The most frequent ingredients across docs, ties at the cutoff included.
-
-    Keeps max(1, round(top_fraction * distinct)) ranks; every ingredient
-    whose document frequency reaches the cutoff count survives.
-    """
-    counts: Counter[str] = Counter()
-    for doc in docs:
-        counts.update(doc.ingredients)
-    if not counts:
-        return frozenset()
-    k = max(1, round(top_fraction * len(counts)))
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    cutoff = ranked[k - 1][1]
-    return frozenset(name for name, c in counts.items() if c >= cutoff)
-
-
-def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
-    if not a and not b:
-        return 0.0
-    return len(a & b) / len(a | b)
-
-
-def modularity(
-    partition: Sequence[frozenset[str]],
-    edges: Mapping[tuple[str, str], float],
-) -> float:
-    """Newman modularity of a node partition under weighted edges.
-
-    Q = sum over communities of [ internal/(2m) - (degree/(2m))^2 ];
-    an edgeless graph has Q = 0 by convention.
-    """
-    two_m = 2.0 * math.fsum(edges.values())
-    if two_m == 0.0:
-        return 0.0
-    degree: dict[str, float] = {}
-    for (a, b), w in edges.items():
-        degree[a] = degree.get(a, 0.0) + w
-        degree[b] = degree.get(b, 0.0) + w
-    community_of: dict[str, int] = {}
-    for idx, members in enumerate(partition):
-        for node in members:
-            community_of[node] = idx
-    internal = [0.0] * len(partition)
-    deg_sum = [0.0] * len(partition)
-    for (a, b), w in edges.items():
-        if community_of[a] == community_of[b]:
-            internal[community_of[a]] += 2.0 * w
-    for node, deg in degree.items():
-        if node in community_of:
-            deg_sum[community_of[node]] += deg
-    return math.fsum(
-        internal[i] / two_m - (deg_sum[i] / two_m) ** 2 for i in range(len(partition))
-    )
-
-
-def greedy_modularity_partition(
-    nodes: Sequence[str],
-    edges: Mapping[tuple[str, str], float],
-) -> list[frozenset[str]]:
-    """Agglomerative modularity maximization with deterministic merge order.
-
-    Starts from singletons and repeatedly merges the community pair with
-    the largest positive modularity gain; gain ties break on the
-    lexicographically smallest pair of community representatives.
-    """
-    communities: dict[str, set[str]] = {n: {n} for n in sorted(nodes)}
-    two_m = 2.0 * math.fsum(edges.values())
-    if two_m == 0.0:
-        return [frozenset(c) for c in communities.values()]
-
-    degree: dict[str, float] = {n: 0.0 for n in nodes}
-    inter: dict[tuple[str, str], float] = {}
-    for (a, b), w in edges.items():
-        degree[a] += w
-        degree[b] += w
-        if a != b:
-            key = (a, b) if a < b else (b, a)
-            inter[key] = inter.get(key, 0.0) + w
-
-    comm_degree = {rep: degree[rep] for rep in communities}
-
-    while len(communities) > 1:
-        # sorted iteration + strictly-better updates make gain ties resolve
-        # to the lexicographically smallest representative pair
-        best_gain = 0.0
-        best_pair: Optional[tuple[str, str]] = None
-        for (ra, rb), w in sorted(inter.items()):
-            gain = 2.0 * (w / two_m - (comm_degree[ra] / two_m) * (comm_degree[rb] / two_m))
-            if gain > best_gain + 1e-12:
-                best_gain = gain
-                best_pair = (ra, rb)
-        if best_pair is None:
-            break
-        ra, rb = best_pair
-        # fold rb into ra; the representative stays the smallest member
-        communities[ra] |= communities.pop(rb)
-        comm_degree[ra] += comm_degree.pop(rb)
-        merged_inter: dict[tuple[str, str], float] = {}
-        for (x, y), w in inter.items():
-            x2 = ra if x == rb else x
-            y2 = ra if y == rb else y
-            if x2 == y2:
-                continue
-            key = (x2, y2) if x2 < y2 else (y2, x2)
-            merged_inter[key] = merged_inter.get(key, 0.0) + w
-        inter = merged_inter
-
-    return [frozenset(c) for _, c in sorted(communities.items())]
-
-
-def country_clusters(
-    corpus: Iterable[Document],
-    top_fraction: float = DEFAULT_TOP_FRACTION,
-) -> list[CountryCluster]:
-    """Cluster countries by Jaccard similarity of their popular ingredients.
-
-    Builds one node per country present in the corpus, weights edges by
-    the Jaccard similarity of the countries' top-ingredient sets, and
-    partitions with greedy modularity maximization.
-    """
-    by_country: dict[str, list[Document]] = {}
-    for doc in corpus:
-        if doc.country != "UNKNOWN":
-            by_country.setdefault(doc.country, []).append(doc)
-    if not by_country:
-        raise EmptyCorpus("no country-annotated documents to cluster")
-
-    kept = {c: top_ingredients(docs, top_fraction) for c, docs in by_country.items()}
-    countries = sorted(kept)
-    edges: dict[tuple[str, str], float] = {}
-    for i, a in enumerate(countries):
-        for b in countries[i + 1 :]:
-            sim = jaccard(kept[a], kept[b])
-            if sim > 0.0:
-                edges[(a, b)] = sim
-
-    partition = greedy_modularity_partition(countries, edges)
-    score = modularity(partition, edges)
-    return [CountryCluster(members=members, modularity=score) for members in partition]

@@ -64,8 +64,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         dest="holdout_fraction",
         help="same-country hold-out fraction",
     )
-    parser.add_argument("--newness-quantile", type=float, dest="newness_quantile",
-                        help="use this LOO-contribution quantile instead of the mean")
     parser.add_argument("--n-boot", type=int, dest="n_boot", help="bootstrap replicates")
     parser.add_argument("--corpus", dest="corpus_path", help="recipe corpus JSONL")
     parser.add_argument("--dishes", dest="dish_specs_path", help="dish-spec JSON file")
@@ -103,7 +101,6 @@ _CONFIG_FLAGS = (
     "rbo_p",
     "pmi_window",
     "holdout_fraction",
-    "newness_quantile",
     "n_boot",
     "corpus_path",
     "dish_specs_path",

@@ -36,8 +36,7 @@ class AnnotatedToken:
 class Document:
     """One recipe text after annotation and content-word filtering.
 
-    body_tokens holds only retained tags (NOUN/VERB/ADJ/ADV/NUM);
-    raw_token_count is the pre-filter token count.
+    body_tokens holds only retained tags (NOUN/VERB/ADJ/ADV/NUM).
     """
 
     id: str
@@ -46,7 +45,6 @@ class Document:
     country: str = "UNKNOWN"
     product: str = "NONE"
     ingredients: frozenset[str] = frozenset()
-    raw_token_count: int = 0
 
     def __post_init__(self) -> None:
         for tok in self.body_tokens:

@@ -63,9 +63,8 @@ def _document_from_record(record: dict, provider_name: str, where: str) -> Docum
             raise ParseError(f"{where}: provider is naive but record has no text")
         provider = NaiveProvider()
 
-    stream = provider.token_stream(raw_text)
     try:
-        body = filter_stream(stream)
+        body = filter_stream(provider.token_stream(raw_text))
     except ValueError as exc:  # a retained lemma AnnotatedToken rejects
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -83,7 +82,6 @@ def _document_from_record(record: dict, provider_name: str, where: str) -> Docum
         country=country,
         product=str(record.get("product", "NONE")) or "NONE",
         ingredients=ingredients,
-        raw_token_count=len(stream),
     )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import Document, TokenDistribution, aggregate_distribution, doc_distribution
 from .divergence import EQUAL_WEIGHTS, Side, jsd, jsd_decomposed
@@ -82,14 +82,12 @@ def _require_variation(variation: Document) -> None:
         raise EmptyDocument(f"variation {variation.id} has no body tokens")
 
 
-def calibrate_newness_threshold(
-    docs: Sequence[Document], quantile: Optional[float] = None
-) -> float:
+def calibrate_newness_threshold(docs: Sequence[Document]) -> float:
     """Leave-one-out newness threshold over a knowledge-space document set.
 
     Each document is held out in turn and compared against the aggregate of
     the rest; the strictly positive per-word contributions from all folds
-    are pooled, and the threshold is their mean (or the given quantile).
+    are pooled, and the threshold is their mean.
     Zero contributions are exact ties and carry no information, so they are
     excluded from the pool.
     """
@@ -103,14 +101,7 @@ def calibrate_newness_threshold(
         pooled.extend(c.value for c in contributions if c.value > 0.0)
     if not pooled:
         return 0.0
-    if quantile is None:
-        return math.fsum(pooled) / len(pooled)
-    if not 0.0 <= quantile <= 1.0:
-        raise ValueError("quantile must lie in [0, 1]")
-    ordered = sorted(pooled)
-    idx = quantile * (len(ordered) - 1)
-    lo, hi = math.floor(idx), math.ceil(idx)
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (idx - lo)
+    return math.fsum(pooled) / len(pooled)
 
 
 def calibrate_difference_threshold(docs: Sequence[Document]) -> float:
@@ -130,7 +121,6 @@ def build_knowledge_space(
     culture: str,
     docs: Iterable[Document],
     window: int = DEFAULT_WINDOW,
-    newness_quantile: Optional[float] = None,
 ) -> KnowledgeSpace:
     """Assemble and calibrate a knowledge space from its documents."""
     ordered = tuple(sorted(docs, key=lambda d: d.id))
@@ -145,7 +135,7 @@ def build_knowledge_space(
         docs=ordered,
         P_agg=aggregate_distribution(ordered),
         ppmi=build_ppmi(ordered, window=window),
-        epsilon_newness=calibrate_newness_threshold(ordered, quantile=newness_quantile),
+        epsilon_newness=calibrate_newness_threshold(ordered),
         epsilon_difference=calibrate_difference_threshold(ordered),
         ingredient_union=ingredient_union,
         mean_doc_length=sum(len(d.body_tokens) for d in ordered) / len(ordered),

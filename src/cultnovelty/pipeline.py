@@ -72,7 +72,6 @@ class RunConfig:
     holdout_fraction: float = 0.3
     seed: int = 0
     annotation_provider: str = "preannotated"
-    newness_quantile: Optional[float] = None
     n_boot: int = 1000
     corpus_path: Optional[str] = None
     dish_specs_path: Optional[str] = None
@@ -230,7 +229,7 @@ def cmd_build(config: RunConfig) -> dict:
                 "product": dish.canonical_name,
                 "origin": origin,
                 "holdout_fraction": config.holdout_fraction,
-                "holdout_seed": split.holdout_seed,
+                "holdout_seed": split_seed,
                 "knowledge_ids": [d.id for d in split.knowledge],
                 "variations": [
                     {"id": d.id, "country": d.country} for d in split.variations
@@ -322,13 +321,7 @@ def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Pa
             knowledge = [doc_by_id[i] for i in manifest["knowledge_ids"]]
         except KeyError as exc:
             raise ParseError(f"{manifest_path}: unknown knowledge document id {exc}") from exc
-        kb = build_knowledge_space(
-            product,
-            origin,
-            knowledge,
-            window=config.pmi_window,
-            newness_quantile=config.newness_quantile,
-        )
+        kb = build_knowledge_space(product, origin, knowledge, window=config.pmi_window)
 
         for entry in manifest["variations"]:
             doc = doc_by_id.get(entry["id"])

@@ -32,7 +32,6 @@ class PpmiMatrix:
 
     pairs: Mapping[Pair, float]
     vocab: frozenset[str]
-    unigram_counts: Mapping[str, int]
     pair_total: int
 
     def value(self, a: str, b: str) -> float:
@@ -82,6 +81,5 @@ def build_ppmi(docs: Union[Document, Iterable[Document]], window: int = 3) -> Pp
     return PpmiMatrix(
         pairs=pairs,
         vocab=frozenset(unigrams),
-        unigram_counts=dict(unigrams),
         pair_total=pair_total,
     )

@@ -13,7 +13,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def make_doc(doc_id, lemmas, pos="NOUN", **kwargs):
     tokens = tuple(AnnotatedToken(lemma=str(l), pos=pos) for l in lemmas)
     kwargs.setdefault("title", doc_id)
-    kwargs.setdefault("raw_token_count", len(tokens))
     return Document(id=doc_id, body_tokens=tokens, **kwargs)
 
 

@@ -202,43 +202,6 @@ def oracle_haversine(lat1, lon1, lat2, lon2, radius=6371.0):
     return radius * 2 * atan2(sqrt(a), sqrt(1 - a))
 
 
-def oracle_modularity(partition, edges):
-    """Direct double sum over node pairs of (A_ij - k_i k_j / 2m) / 2m."""
-    nodes = sorted({n for part in partition for n in part})
-    weight = {}
-    for (a, b), w in edges.items():
-        weight[(a, b)] = weight.get((a, b), 0.0) + w
-        weight[(b, a)] = weight.get((b, a), 0.0) + w
-    degree = {n: sum(weight.get((n, m), 0.0) for m in nodes) for n in nodes}
-    two_m = sum(degree.values())
-    if two_m == 0:
-        return 0.0
-    community = {}
-    for idx, part in enumerate(partition):
-        for n in part:
-            community[n] = idx
-    q = 0.0
-    for a in nodes:
-        for b in nodes:
-            if community[a] != community[b]:
-                continue
-            q += (weight.get((a, b), 0.0) - degree[a] * degree[b] / two_m) / two_m
-    return q
-
-
-def all_partitions(items):
-    """Every set partition of items (Bell-number enumeration)."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partition in all_partitions(rest):
-        for i in range(len(partition)):
-            yield partition[:i] + [partition[i] | {first}] + partition[i + 1 :]
-        yield partition + [{first}]
-
-
 def oracle_mediate(t, m, y, n_boot, seed):
     """Product-of-coefficients mediation, one lstsq pair per bootstrap replicate.
 

@@ -69,12 +69,6 @@ class TestNewnessThreshold:
         with pytest.raises(InsufficientKB):
             calibrate_newness_threshold([make_doc("1", AAB)])
 
-    def test_quantile_option(self):
-        docs = [make_doc("1", AAB), make_doc("2", ABB), make_doc("3", ["a", "c"])]
-        median = calibrate_newness_threshold(docs, quantile=0.5)
-        top = calibrate_newness_threshold(docs, quantile=1.0)
-        assert 0.0 <= median <= top
-
 
 class TestNewness:
     def test_replica_scores_zero(self):
