@@ -71,7 +71,7 @@ def load_dish_specs(path: Union[str, Path]) -> list[DishSpec]:
     path = Path(path)
     try:
         entries = json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(entries, list):
         raise ParseError(f"{path}: expected a JSON array of dish specs")

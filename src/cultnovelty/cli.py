@@ -24,16 +24,8 @@ from .pipeline import (
 
 log = logging.getLogger(__name__)
 
-_INPUT_ERRORS = (
-    ParseError,
-    UnknownCountry,
-    ConflictingEntry,
-    FileNotFoundError,
-    IsADirectoryError,
-    NotADirectoryError,
-    PermissionError,
-    UnicodeDecodeError,
-)
+# OSError covers a missing, unreadable or unwritable path of any kind
+_INPUT_ERRORS = (ParseError, UnknownCountry, ConflictingEntry, OSError, UnicodeDecodeError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,12 +123,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         config = _config_from_args(args)
+    except _INPUT_ERRORS as exc:  # before ValueError: UnicodeDecodeError is one
+        print(f"cultnovelty: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"cultnovelty: bad configuration: {exc}", file=sys.stderr)
         return 1
-    except _INPUT_ERRORS as exc:
-        print(f"cultnovelty: {exc}", file=sys.stderr)
-        return 2
 
     try:
         if args.command == "build":

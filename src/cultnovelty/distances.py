@@ -93,7 +93,7 @@ def load_registry(path: Optional[Union[str, Path]] = None) -> Registry:
         raw = Path(path).read_text("utf-8")
     try:
         entries = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{source}: invalid JSON ({exc})") from exc
     if not isinstance(entries, list):
         raise ParseError(f"{source}: expected a JSON array of country entries")

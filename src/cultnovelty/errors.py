@@ -81,3 +81,7 @@ class RankDeficient(CultNoveltyError):
 
 class InsufficientObservations(CultNoveltyError):
     """Too few rows for the requested number of regression parameters."""
+
+
+class NumericOverflow(CultNoveltyError):
+    """A series is too large in magnitude for float64 arithmetic."""

@@ -104,7 +104,7 @@ def read_documents(path: Union[str, Path], provider_name: str = "preannotated") 
             where = f"{path}:{line_no}"
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ParseError(f"{where}: invalid JSON ({exc})") from exc
             if not isinstance(record, dict):
                 raise ParseError(f"{where}: expected a JSON object")

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_type_hints
@@ -32,6 +33,7 @@ from .errors import (
     ConstantSeries,
     CultNoveltyError,
     IneligibleDish,
+    InsufficientKB,
     InsufficientObservations,
     MissingCoordinates,
     ParseError,
@@ -81,7 +83,8 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        if abs(self.lambda1 + self.lambda2 - 1.0) > 1e-12:
+        # each check is written to fail on NaN; every message names its key
+        if not abs(self.lambda1 + self.lambda2 - 1.0) <= 1e-12:
             raise ValueError("lambda1 + lambda2 must equal 1")
         if self.pmi_window < 2:
             raise ValueError("pmi_window must be >= 2")
@@ -91,17 +94,29 @@ class RunConfig:
             raise ValueError("holdout_fraction must lie in [0, 1)")
         if self.n_boot < 0:
             raise ValueError("n_boot must be >= 0")
+        if self.seed < 0:  # numpy's SeedSequence takes no negative seed
+            raise ValueError("seed must be >= 0")
         if self.annotation_provider not in ("preannotated", "naive"):
-            raise ValueError(f"unknown annotation provider {self.annotation_provider!r}")
+            raise ValueError(
+                f"annotation_provider must be 'preannotated' or 'naive', not {self.annotation_provider!r}"
+            )
+        for key in ("corpus_path", "dish_specs_path", "registry_path", "linguistic_path",
+                    "religious_path", "output_dir"):
+            if "\0" in (getattr(self, key) or ""):  # open() would raise ValueError
+                raise ValueError(f"{key} must not contain a NUL character")
 
     @classmethod
     def load(cls, path: Optional[Union[str, Path]] = None, overrides: Optional[dict] = None) -> "RunConfig":
-        """Config file merged with flag overrides; a set flag wins."""
+        """Config file merged with flag overrides; a set flag wins.
+
+        A value out of range raises ParseError naming the file when the
+        file's values fail on their own, and ValueError when a flag is at fault.
+        """
         values: dict = {}
         if path is not None:
             try:
                 raw = json.loads(Path(path).read_text("utf-8"))
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ParseError(f"{path}: invalid JSON ({exc})") from exc
             if not isinstance(raw, dict):
                 raise ParseError(f"{path}: config must be a JSON object")
@@ -116,10 +131,17 @@ class RunConfig:
                 if isinstance(value, bool) or not isinstance(value, allowed):
                     raise ParseError(f"{path}: config key {key!r} has the wrong type: {value!r}")
             values.update(raw)
-        for key, value in (overrides or {}).items():
-            if value is not None:
-                values[key] = value
-        return cls(**values)
+        flags = {key: value for key, value in (overrides or {}).items() if value is not None}
+        try:
+            return cls(**{**values, **flags})
+        except ValueError as exc:
+            if path is not None:
+                try:
+                    cls(**values)
+                except ValueError as file_exc:
+                    if str(file_exc) == str(exc):
+                        raise ParseError(f"{path}: {exc}") from exc
+            raise
 
 
 def fmt_float(value: float) -> str:
@@ -278,13 +300,16 @@ def _read_manifest(path: Path) -> dict:
     """Load one split manifest and check its shape; malformed input raises ParseError."""
     try:
         manifest = json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(manifest, dict):
         raise ParseError(f"{path}: manifest must be a JSON object")
     for key in ("product", "origin", "knowledge_ids", "variations"):
         if key not in manifest:
             raise ParseError(f"{path}: manifest has no {key!r}")
+    for key in ("product", "origin"):
+        if not isinstance(manifest[key], str):
+            raise ParseError(f"{path}: {key} must be a string")
     for key in ("knowledge_ids", "variations"):
         if not isinstance(manifest[key], list):
             raise ParseError(f"{path}: {key} must be a JSON array")
@@ -296,8 +321,12 @@ def _read_manifest(path: Path) -> dict:
         for key in ("id", "country"):
             if key not in entry:
                 raise ParseError(f"{path}: variation {i} has no {key!r}")
-        if not isinstance(entry["id"], str):
-            raise ParseError(f"{path}: variation {i} id must be a string")
+            if not isinstance(entry[key], str):
+                raise ParseError(f"{path}: variation {i} {key} must be a string")
+    variation_ids = [entry["id"] for entry in manifest["variations"]]
+    for key, ids in (("knowledge_ids", manifest["knowledge_ids"]), ("variations", variation_ids)):
+        if len(set(ids)) < len(ids):
+            raise ParseError(f"{path}: {key} repeat an id")
     return manifest
 
 
@@ -321,7 +350,10 @@ def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Pa
             knowledge = [doc_by_id[i] for i in manifest["knowledge_ids"]]
         except KeyError as exc:
             raise ParseError(f"{manifest_path}: unknown knowledge document id {exc}") from exc
-        kb = build_knowledge_space(product, origin, knowledge, window=config.pmi_window)
+        try:
+            kb = build_knowledge_space(product, origin, knowledge, window=config.pmi_window)
+        except InsufficientKB as exc:
+            raise ParseError(f"{manifest_path}: knowledge_ids: {exc}") from exc
 
         for entry in manifest["variations"]:
             doc = doc_by_id.get(entry["id"])
@@ -349,6 +381,7 @@ def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Pa
 
 def _read_scores(path: Path) -> list[dict]:
     rows = []
+    seen: set[tuple[str, str, str]] = set()
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != SCORE_COLUMNS:
@@ -359,11 +392,18 @@ def _read_scores(path: Path) -> list[dict]:
                 if row[col] is None:
                     raise ParseError(f"{path}:{reader.line_num}: {col} is missing")
                 try:
-                    row[col] = float(row[col])
+                    value = float(row[col])
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
                     raise ParseError(
-                        f"{path}:{reader.line_num}: {col} is not a number: {row[col]!r}"
-                    ) from None
+                        f"{path}:{reader.line_num}: {col} is not a finite number: {row[col]!r}"
+                    )
+                row[col] = value
+            key = (row["product"], row["kb_culture"], row["variation_id"])
+            if key in seen:  # each split ranks its variations by id
+                raise ParseError(f"{path}:{reader.line_num}: repeated row for {'/'.join(key)}")
+            seen.add(key)
             rows.append(row)
     return rows
 

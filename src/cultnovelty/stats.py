@@ -26,6 +26,7 @@ from .errors import (
     DuplicateIds,
     InsufficientObservations,
     LengthMismatch,
+    NumericOverflow,
     RankDeficient,
 )
 
@@ -288,7 +289,10 @@ def _resample_counts(seed: int, n: int, n_boot: int) -> np.ndarray:
 
 def _standardize(v: np.ndarray) -> tuple[np.ndarray, float]:
     scale = float(v.std()) or 1.0
-    return (v - v.mean()) / scale, scale
+    z = (v - v.mean()) / scale
+    if not (np.isfinite(scale) and np.isfinite(z).all()):
+        raise NumericOverflow("a series overflows float64 when standardized")
+    return z, scale
 
 
 def _weighted_effects(

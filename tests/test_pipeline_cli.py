@@ -381,6 +381,64 @@ class TestCli:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [('{"holdout_fraction": 1.5}', "holdout_fraction must lie in [0, 1)"),
+         ('{"rbo_p": 0}', "rbo_p must lie strictly inside (0, 1)"),
+         ('{"lambda1": NaN}', "lambda1 + lambda2 must equal 1"),
+         ('{"annotation_provider": "spacy"}', "annotation_provider must be 'preannotated' or 'naive'"),
+         ('{"registry_path": "a\\u0000b"}', "registry_path must not contain a NUL character"),
+         ('{"seed": -1}', "seed must be >= 0")],
+        ids=["holdout", "rbo_p", "nan_lambda", "provider", "nul_in_path", "negative_seed"],
+    )
+    def test_config_value_out_of_range_exits_two(self, tmp_path, capsys, text, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        code = main(["build", "--config", str(config_path), "--corpus", CORPUS, "--dishes", DISHES,
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{config_path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_flag_out_of_range_beside_a_valid_config_exits_one(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"holdout_fraction": 0.2}')
+        code = main(["build", "--config", str(config_path), "--holdout", "1.5", "--corpus", CORPUS,
+                     "--dishes", DISHES, "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bad configuration: holdout_fraction must lie in [0, 1)" in err
+        assert str(config_path) not in err
+
+    def test_flag_mends_an_out_of_range_config_value(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"holdout_fraction": 1.5}')
+        code = main(["build", "--config", str(config_path), "--holdout", "0.3", "--corpus", CORPUS,
+                     "--dishes", DISHES, "--output-dir", str(tmp_path / "out")])
+        assert code == 0
+
+    def test_config_file_not_utf8_exits_two(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(b'{"seed": "\xff"}')
+        code = main(["build", "--config", str(config_path), "--corpus", CORPUS, "--dishes", DISHES,
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+
+    @pytest.mark.parametrize("option", ["--config", "--dishes"])
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys, option):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        # a repeated option takes its last value
+        code = main(["build", "--corpus", CORPUS, "--dishes", DISHES,
+                     "--output-dir", str(tmp_path / "out"), option, str(path)])
+        assert code == 2
+        assert f"{path}: invalid JSON" in capsys.readouterr().err
+
+    def test_newness_quantile_flag_is_a_usage_error(self, tmp_path, capsys):
+        code = main(["score", "--corpus", CORPUS, "--newness-quantile", "0.5",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+
     def test_workers_flag_is_a_usage_error(self, tmp_path, capsys):
         code = main(
             ["build", "--corpus", CORPUS, "--dishes", DISHES, "--workers", "2",
@@ -523,10 +581,20 @@ class TestBadScoreInputs:
              "variation 0 has no 'country'"),
             (lambda m: {**m, "variations": [{"id": 5, "country": "MA"}]},
              "variation 0 id must be a string"),
+            (lambda m: {**m, "product": ["Couscous"]}, "product must be a string"),
+            (lambda m: {**m, "origin": None}, "origin must be a string"),
+            (lambda m: {**m, "knowledge_ids": m["knowledge_ids"][:1]},
+             "knowledge_ids: need at least 2 documents, got 1"),
+            (lambda m: {**m, "variations": [{"id": m["variations"][0]["id"], "country": None}]},
+             "variation 0 country must be a string"),
+            (lambda m: {**m, "variations": m["variations"][:1] * 2}, "variations repeat an id"),
+            (lambda m: {**m, "knowledge_ids": m["knowledge_ids"][:2] * 2}, "knowledge_ids repeat an id"),
         ],
         ids=["not_object", "no_product", "no_origin", "no_knowledge_ids",
              "knowledge_ids_not_array", "knowledge_id_not_string", "variation_without_id",
-             "variation_without_country", "variation_id_not_string"],
+             "variation_without_country", "variation_id_not_string", "product_not_string",
+             "origin_not_string", "one_knowledge_id", "variation_country_not_string",
+             "repeated_variation", "repeated_knowledge_id"],
     )
     def test_bad_manifest_exits_two(self, built, capsys, payload, message):
         path = built / "manifests" / "couscous__MA.json"
@@ -537,8 +605,10 @@ class TestBadScoreInputs:
 
     @pytest.mark.parametrize(
         "cell,message",
-        [("abc", "newness is not a number: 'abc'"), (None, "newness is missing")],
-        ids=["non_numeric", "missing"],
+        [("abc", "newness is not a finite number: 'abc'"), (None, "newness is missing"),
+         ("nan", "newness is not a finite number: 'nan'"),
+         ("-inf", "newness is not a finite number: '-inf'")],
+        ids=["non_numeric", "missing", "nan", "infinite"],
     )
     def test_bad_score_cell_exits_two(self, built, capsys, cell, message):
         cmd_score(config_for(built.parent))
@@ -551,6 +621,16 @@ class TestBadScoreInputs:
         code = main(["analyze", "--output-dir", str(built)])
         assert code == 2
         assert f"{scores}:4: {message}" in capsys.readouterr().err
+
+    def test_repeated_score_row_exits_two(self, built, capsys):
+        cmd_score(config_for(built.parent))
+        scores = built / "scores.csv"
+        rows = read_csv(scores)
+        rows.insert(4, rows[3])
+        with scores.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        assert main(["analyze", "--output-dir", str(built)]) == 2
+        assert f"{scores}:5: repeated row for {'/'.join(rows[3][:3])}" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

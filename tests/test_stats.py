@@ -13,6 +13,7 @@ from cultnovelty.errors import (
     DuplicateIds,
     InsufficientObservations,
     LengthMismatch,
+    NumericOverflow,
     RankDeficient,
 )
 from cultnovelty.stats import _resample_counts, kendall_tau, mediate, ols, pearson, rbo
@@ -299,3 +300,8 @@ class TestMediate:
     def test_too_short(self):
         with pytest.raises(InsufficientObservations):
             mediate([1.0] * 5, [1.0] * 5, [1.0] * 5, n_boot=0)
+
+    def test_overflowing_series_raises(self):
+        t = [1e308, 1e308] + [float(i) for i in range(10)]
+        with pytest.raises(NumericOverflow):
+            mediate(t, list(range(12)), list(range(12)), n_boot=5)
