@@ -112,24 +112,33 @@ def _find_word(surface: str, text_lower: str, plural: bool = False) -> Optional[
     return _word_pattern(surface, plural).search(text_lower)
 
 
+@lru_cache(maxsize=8)
+def _country_pattern(registry: Registry) -> tuple[re.Pattern, dict[str, str]]:
+    """One zero-width alternation over every lowercased surface, longest first,
+    and the smallest ISO that owns each surface."""
+    owners: dict[str, str] = {}
+    for record in registry.records():  # ascending ISO
+        for surface in record.surfaces:
+            owners.setdefault(surface.lower(), record.iso)
+    if not owners:
+        return re.compile(r"(?!)"), owners  # matches nothing
+    alternation = "|".join(re.escape(s) for s in sorted(owners, key=lambda s: (-len(s), s)))
+    return re.compile(rf"(?=(?<!\w)({alternation})(?!\w))"), owners
+
+
 def detect_country(title: str, registry: Registry) -> Optional[str]:
     """Find the country a title names, by country name or demonym.
 
     Whole-word, case-insensitive matching; the longest matched surface
     wins, and exact ties resolve to the lexicographically smallest ISO.
-    Returns None when no surface matches.
+    Returns None when no surface matches. The pattern consumes nothing, so
+    finditer tries every position and reports the longest surface there.
     """
-    title_lower = title.lower()
-    best: Optional[tuple[int, str]] = None  # (-match_len, iso), minimized
-    for record in registry.records():
-        for surface in record.surfaces:
-            m = _find_word(surface, title_lower)
-            if m is None:
-                continue
-            key = (-(m.end() - m.start()), record.iso)
-            if best is None or key < best:
-                best = key
-    return best[1] if best else None
+    pattern, owners = _country_pattern(registry)
+    found = [m.group(1) for m in pattern.finditer(title.lower())]
+    if not found:
+        return None
+    return min((-len(surface), owners[surface]) for surface in found)[1]
 
 
 def match_dish(title: str, dish: DishSpec) -> bool:

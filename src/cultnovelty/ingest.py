@@ -13,7 +13,7 @@ import logging
 import re
 import unicodedata
 from pathlib import Path
-from typing import Union
+from typing import Collection, Optional, Union
 
 from .annotation import NaiveProvider, PreannotatedProvider, filter_stream
 from .corpus import Document
@@ -35,13 +35,9 @@ def _nfc(value: str) -> str:
     return unicodedata.normalize("NFC", value)
 
 
-def _document_from_record(record: dict, provider_name: str, where: str) -> Document:
-    try:
-        doc_id = _nfc(str(record["id"]))
-        title = _nfc(str(record.get("title", "")))
-    except KeyError as exc:
-        raise ParseError(f"{where}: missing required field {exc}") from exc
-
+def _document_from_record(record: dict, doc_id: str, provider_name: str, where: str) -> Document:
+    title = record.get("title")
+    title = "" if title is None else _nfc(str(title))
     if provider_name == "preannotated":
         tokens = record.get("tokens")
         if tokens is None:
@@ -68,7 +64,8 @@ def _document_from_record(record: dict, provider_name: str, where: str) -> Docum
     except ValueError as exc:  # a retained lemma AnnotatedToken rejects
         raise ParseError(f"{where}: {exc}") from exc
 
-    country = str(record.get("country", "UNKNOWN")).upper() or "UNKNOWN"
+    country = record.get("country")
+    country = "UNKNOWN" if country is None else str(country).strip().upper() or "UNKNOWN"
     raw_ingredients = record.get("ingredients", [])
     if not isinstance(raw_ingredients, list):
         raise ParseError(f"{where}: ingredients must be a JSON array")
@@ -85,11 +82,17 @@ def _document_from_record(record: dict, provider_name: str, where: str) -> Docum
     )
 
 
-def read_documents(path: Union[str, Path], provider_name: str = "preannotated") -> list[Document]:
+def read_documents(
+    path: Union[str, Path],
+    provider_name: str = "preannotated",
+    ids: Optional[Collection[str]] = None,
+) -> list[Document]:
     """Read a JSONL corpus; returns documents in file order.
 
-    Documents emptied by the POS filter are dropped and logged. Malformed
-    lines and duplicate ids are hard errors with line context.
+    Every line is parsed and checked for an id that no earlier line holds.
+    With ``ids``, only the records whose NFC id is in it are annotated and
+    returned. Documents emptied by the POS filter are dropped and logged.
+    Malformed lines and duplicate ids are hard errors with line context.
     """
     if provider_name not in PROVIDERS:
         raise ValueError(f"unknown annotation provider {provider_name!r}")
@@ -108,17 +111,19 @@ def read_documents(path: Union[str, Path], provider_name: str = "preannotated") 
                 raise ParseError(f"{where}: invalid JSON ({exc})") from exc
             if not isinstance(record, dict):
                 raise ParseError(f"{where}: expected a JSON object")
-            try:
-                doc = _document_from_record(record, provider_name, where)
-            except EmptyAfterFilter:
-                log.warning("%s: dropped document %r (empty after POS filter)",
-                            where, record.get("id"))
-                dropped += 1
+            if "id" not in record:
+                raise ParseError(f"{where}: missing required field 'id'")
+            doc_id = _nfc(str(record["id"]))
+            if doc_id in seen_ids:
+                raise ParseError(f"{where}: duplicate document id {doc_id!r}")
+            seen_ids.add(doc_id)
+            if ids is not None and doc_id not in ids:
                 continue
-            if doc.id in seen_ids:
-                raise ParseError(f"{where}: duplicate document id {doc.id!r}")
-            seen_ids.add(doc.id)
-            documents.append(doc)
+            try:
+                documents.append(_document_from_record(record, doc_id, provider_name, where))
+            except EmptyAfterFilter:
+                log.warning("%s: dropped document %r (empty after POS filter)", where, doc_id)
+                dropped += 1
     if dropped:
         log.warning("%s: dropped %d empty-after-filter document(s)", path, dropped)
     return documents

@@ -217,6 +217,7 @@ def cmd_build(config: RunConfig) -> dict:
     if not config.corpus_path or not config.dish_specs_path:
         raise ParseError("build requires corpus_path and dish_specs_path")
     registry = load_registry(config.registry_path)
+    corpus_digest = _sha256_file(config.corpus_path)
     corpus = read_documents(config.corpus_path, config.annotation_provider)
     dishes = load_dish_specs(config.dish_specs_path)
     resolved = resolve_countries(corpus, registry)
@@ -248,6 +249,8 @@ def cmd_build(config: RunConfig) -> dict:
                 )
                 continue
             manifest = {
+                "corpus_sha256": corpus_digest,
+                "annotation_provider": config.annotation_provider,
                 "product": dish.canonical_name,
                 "origin": origin,
                 "holdout_fraction": config.holdout_fraction,
@@ -330,20 +333,44 @@ def _read_manifest(path: Path) -> dict:
     return manifest
 
 
+def _check_built_from(path: Path, manifest: dict, config: RunConfig, corpus_digest: str) -> None:
+    """A manifest's ids hold only for the corpus bytes and the provider that built it."""
+    expected = {"corpus_sha256": corpus_digest, "annotation_provider": config.annotation_provider}
+    for key, want in expected.items():
+        if manifest.get(key) != want:
+            found = repr(manifest[key]) if key in manifest else "missing"
+            raise ParseError(
+                f"{path}: {key} is {found}, but scoring {config.corpus_path} with provider "
+                f"{config.annotation_provider!r} needs {want!r}; rerun build"
+            )
+
+
 def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Path]]] = None) -> Path:
-    """Score every manifest's variations; one CSV row per (split, variation)."""
+    """Score every manifest's variations; one CSV row per (split, variation).
+
+    Only the documents the manifests reference are annotated, so each
+    manifest must carry the digest of this corpus and this provider.
+    """
     if not config.corpus_path:
         raise ParseError("score requires corpus_path")
     out_dir = Path(config.output_dir)
     if manifest_paths is None:
         manifest_paths = sorted((out_dir / "manifests").glob("*.json"))
-    corpus = read_documents(config.corpus_path, config.annotation_provider)
+    manifests = [(path, _read_manifest(path)) for path in sorted(Path(p) for p in manifest_paths)]
+    corpus_digest = _sha256_file(config.corpus_path)
+    for manifest_path, manifest in manifests:
+        _check_built_from(manifest_path, manifest, config, corpus_digest)
+    referenced = {
+        doc_id
+        for _, manifest in manifests
+        for doc_id in manifest["knowledge_ids"] + [entry["id"] for entry in manifest["variations"]]
+    }
+    corpus = read_documents(config.corpus_path, config.annotation_provider, ids=referenced)
     doc_by_id = {d.id: d for d in corpus}
 
     rows: list[tuple[str, ...]] = []
     failures = 0
-    for manifest_path in sorted(Path(p) for p in manifest_paths):
-        manifest = _read_manifest(manifest_path)
+    for manifest_path, manifest in manifests:
         product = manifest["product"]
         origin = manifest["origin"]
         try:

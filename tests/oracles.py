@@ -4,6 +4,7 @@ Everything here works on plain token lists and dicts, straight from the
 defining formulas, and deliberately shares no code with the package.
 """
 
+import re
 from collections import Counter
 from itertools import combinations
 from math import asin, atan2, cos, floor, log2, radians, sin, sqrt
@@ -237,3 +238,19 @@ def oracle_mediate(t, m, y, n_boot, seed):
         above = np.mean(values >= 0.0)
         out[f"{name}_p"] = min(1.0, 2.0 * float(min(below, above)))
     return out
+
+
+def oracle_detect_country(title, registry):
+    """One regex search per (title, surface); the longest whole-word surface
+    wins, and equal lengths go to the smallest ISO."""
+    title_lower = title.lower()
+    best = None  # (-match length, iso), minimized
+    for record in registry.records():
+        for surface in record.surfaces:
+            m = re.search(rf"(?<!\w){re.escape(surface.lower())}(?!\w)", title_lower)
+            if m is None:
+                continue
+            key = (-(m.end() - m.start()), record.iso)
+            if best is None or key < best:
+                best = key
+    return best[1] if best else None

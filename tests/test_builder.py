@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cultnovelty.builder import (
     DishSpec,
@@ -11,10 +14,11 @@ from cultnovelty.builder import (
     match_dish,
     matched_documents,
 )
-from cultnovelty.distances import load_registry
+from cultnovelty.distances import CountryRecord, Registry, load_registry
 from cultnovelty.errors import IneligibleDish, ParseError
 
 from conftest import make_doc
+from oracles import oracle_detect_country
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +48,58 @@ class TestDetectCountry:
     def test_longest_surface_wins(self, registry):
         # "South African" must beat any shorter surface inside it
         assert detect_country("South African stew", registry) == "ZA"
+
+
+BUNDLED = load_registry()
+BUNDLED_SURFACES = sorted({s for r in BUNDLED.records() for s in r.surfaces})
+# glue that keeps a surface a whole word, makes it part of a longer word
+# (a plural-like or other suffix) or puts punctuation right next to it
+GLUE = st.sampled_from(["", " ", "  ", "-", "'", ",", ".", "(", ")", "s", "es", "ish", "n", "_", "9", "é"])
+
+
+def titles_from(surfaces):
+    words = st.sampled_from(surfaces).map(str.upper) | st.sampled_from(surfaces) | st.text(max_size=5)
+    return st.lists(st.tuples(GLUE, words), max_size=5).map(
+        lambda parts: "".join(glue + word for glue, word in parts))
+
+
+# nested and overlapping surfaces, the same surface under two ISOs, and
+# same-length surfaces of different ISOs
+SMALL_SURFACES = ["ab", "ab cd", "cd", "b", "bc", "abc", "cd ef", "cd ef gh", "ef", "x-y", "y", "éa", "ÉA", "a.b"]
+small_registries = st.lists(
+    st.tuples(st.sampled_from(SMALL_SURFACES),
+              st.lists(st.sampled_from(SMALL_SURFACES), max_size=3)),
+    min_size=0, max_size=5,
+).map(lambda entries: Registry([
+    CountryRecord(iso=f"C{i}", name=name, demonyms=frozenset(demonyms))
+    for i, (name, demonyms) in enumerate(entries)
+]))
+
+
+class TestDetectCountryAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(titles_from(BUNDLED_SURFACES))
+    def test_bundled_registry(self, title):
+        assert detect_country(title, BUNDLED) == oracle_detect_country(title, BUNDLED)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_registries, st.data())
+    def test_overlapping_surfaces(self, registry, data):
+        title = data.draw(titles_from(SMALL_SURFACES))
+        assert detect_country(title, registry) == oracle_detect_country(title, registry)
+
+    def test_match_inside_an_earlier_match_is_seen(self):
+        # "ab cd" is the longest surface at 0, but "cd ef gh" starts inside it
+        registry = Registry([CountryRecord("AA", "ab cd", frozenset()),
+                             CountryRecord("ZZ", "cd ef gh", frozenset())])
+        assert detect_country("ab cd ef gh", registry) == "ZZ"
+
+    def test_fixture_titles(self, fixtures_dir):
+        titles = [json.loads(line)["title"]
+                  for line in (fixtures_dir / "recipes_50.jsonl").read_text("utf-8").splitlines()]
+        titles += ["Moroccan South African ZA stew", "south-african", "Frenchs", "(French)"]
+        for title in titles:
+            assert detect_country(title, BUNDLED) == oracle_detect_country(title, BUNDLED)
 
 
 class TestMatchDish:

@@ -1,8 +1,9 @@
 """Malformed input files never end in exit code 3, the internal-fault code.
 
-Each property writes one fuzzed file (config, dish spec, split manifest or
-scores table), runs the CLI on it with the test fixtures for every other
-input, and accepts exit 0, 1 or 2.
+Each property writes one fuzzed file (config, dish spec, split manifest,
+scores table, or the corpus with one fuzzed record appended), runs the CLI
+on it with the test fixtures for every other input, and accepts exit 0, 1
+or 2.
 """
 
 import csv
@@ -118,3 +119,43 @@ def test_scores_cells(edits):
             csv.writer(fh, lineterminator="\n").writerows(rows)
         run(["analyze", "--scores", str(path), "--linguistic", LINGUISTIC, "--religious", RELIGIOUS,
              "--n-boot", "5", "--output-dir", str(Path(tmp) / "out")])
+
+
+_CORPUS_LINES = Path(CORPUS).read_text(encoding="utf-8").splitlines()
+words = st.sampled_from(["couscous", "lasagna", "moroccan", "greek", "salt", "the", "", " ", "ma "])
+tags = st.sampled_from(["NOUN", "VERB", "DET", "X"])
+# mostly well-formed tokens, so records get past the shape checks into a split
+tokens = st.lists(
+    st.fixed_dictionaries({"lemma": words, "pos": tags})
+    | st.fixed_dictionaries({}, optional={"lemma": words | json_values, "text": words | json_values,
+                                          "pos": tags | json_values})
+    | json_values,
+    max_size=4,
+)
+RECORD_FIELDS = ("id", "title", "country", "ingredients", "text", "tokens")
+records = st.fixed_dictionaries({
+    # an id the corpus already holds, a new one in two Unicode forms, or junk
+    "id": st.sampled_from(["new", "ne\u0301w", "n\u00e9w", "r001"]) | json_values,
+    "title": st.sampled_from(["Moroccan Couscous", "Greek Lasagna", "couscous", ""]) | json_values,
+    "country": st.sampled_from(["MA", " gr ", "", "XX"]) | json_values,
+    "ingredients": st.lists(words | json_values, max_size=3) | json_values,
+    "text": st.lists(words, max_size=6).map(" ".join) | json_values,
+    "tokens": tokens | json_values,
+})
+
+
+@FUZZ
+@given(records | json_values, st.sets(st.sampled_from(RECORD_FIELDS)))
+def test_corpus_record(record, dropped):
+    if isinstance(record, dict):
+        record = {k: v for k, v in record.items() if k not in dropped}
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus.jsonl"
+        corpus.write_text("\n".join(_CORPUS_LINES + [json.dumps(record)]) + "\n", encoding="utf-8")
+        for provider in ("preannotated", "naive"):
+            base = ["--corpus", str(corpus), "--provider", provider,
+                    "--output-dir", str(Path(tmp) / provider)]
+            code = main(["build", "--dishes", DISHES] + base)
+            assert code in (0, 1, 2)
+            if code == 0:  # score then annotates the record only if a split holds it
+                run(["score"] + base)

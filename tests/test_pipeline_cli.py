@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cultnovelty import ingest
+from cultnovelty.annotation import filter_stream
 from cultnovelty.cli import main
 from cultnovelty.pipeline import (
     SCORE_COLUMNS,
@@ -166,6 +169,16 @@ class TestBuild:
         held_out = [v for v in manifest["variations"] if v["country"] == "MA"]
         assert len(held_out) == 3
 
+    def test_manifests_record_corpus_digest_and_provider(self, tmp_path):
+        config = config_for(tmp_path)
+        cmd_build(config)
+        digest = hashlib.sha256(Path(CORPUS).read_bytes()).hexdigest()
+        for path in (Path(config.output_dir) / "manifests").iterdir():
+            manifest = json.loads(path.read_text())
+            assert manifest["corpus_sha256"] == digest
+            assert manifest["annotation_provider"] == "preannotated"
+            assert CORPUS not in path.read_text()  # no paths, so reruns elsewhere match
+
     def test_rerun_byte_identical(self, tmp_path):
         config = config_for(tmp_path)
         cmd_build(config)
@@ -209,6 +222,72 @@ class TestScore:
         scores_path = cmd_score(config)
         rows = read_csv(scores_path)
         assert rows == [list(SCORE_COLUMNS)]
+
+
+    def test_annotates_only_referenced_records(self, tmp_path, monkeypatch):
+        config = config_for(tmp_path)
+        cmd_build(config)
+        referenced = set()
+        for path in (Path(config.output_dir) / "manifests").iterdir():
+            manifest = json.loads(path.read_text())
+            referenced |= set(manifest["knowledge_ids"]) | {v["id"] for v in manifest["variations"]}
+        calls = []
+        monkeypatch.setattr(ingest, "filter_stream", lambda stream: calls.append(1) or filter_stream(stream))
+        cmd_score(config)
+        assert len(calls) == len(referenced) < sum(1 for _ in open(CORPUS))
+
+    def test_empty_manifest_set_still_parses_every_line(self, tmp_path, capsys):
+        corpus, line = write_corpus_with(tmp_path, bad_record())
+        Path(corpus).write_text(Path(corpus).read_text() + "{not json\n")
+        (tmp_path / "out" / "manifests").mkdir(parents=True)
+        assert main(["score", "--corpus", corpus, "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"{corpus}:{line + 1}: invalid JSON" in capsys.readouterr().err
+
+
+class TestCorpusDigest:
+    """score annotates only what the manifests reference, so a manifest must
+    come from this corpus and provider: otherwise exit 2, no scores.csv."""
+
+    @pytest.fixture
+    def built(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(Path(CORPUS).read_bytes())
+        out = tmp_path / "out"
+        assert main(["build", "--corpus", str(corpus), "--dishes", DISHES, "--output-dir", str(out)]) == 0
+        return corpus, out
+
+    def assert_rejected(self, argv, corpus, out, capsys):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(out / "manifests" / "couscous__GR.json") in err  # the first manifest
+        assert str(corpus) in err and "rerun build" in err
+        assert not (out / "scores.csv").exists()
+        return err
+
+    def test_corpus_edited_after_build(self, built, capsys):
+        corpus, out = built
+        # an unreferenced record that would fail annotation, which score now skips
+        with corpus.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(bad_record(id="late", tokens="abc")) + "\n")
+        self.assert_rejected(["score", "--corpus", str(corpus), "--output-dir", str(out)],
+                             corpus, out, capsys)
+
+    def test_other_provider(self, built, capsys):
+        corpus, out = built
+        self.assert_rejected(["score", "--corpus", str(corpus), "--provider", "naive",
+                              "--output-dir", str(out)], corpus, out, capsys)
+
+    @pytest.mark.parametrize("key", ["corpus_sha256", "annotation_provider"])
+    def test_manifest_without_key(self, built, capsys, key):
+        corpus, out = built
+        path = out / "manifests" / "couscous__GR.json"
+        manifest = json.loads(path.read_text())
+        del manifest[key]
+        path.write_text(json.dumps(manifest))
+        err = self.assert_rejected(["score", "--corpus", str(corpus), "--output-dir", str(out)],
+                                   corpus, out, capsys)
+        assert f"{key} is missing" in err
 
 
 class TestAnalyze:
@@ -558,6 +637,56 @@ class TestBadCorpusRecords:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 2
         assert f"{corpus}:{line}:" in capsys.readouterr().err
+
+
+    def test_id_repeated_after_a_dropped_record_exits_two(self, tmp_path, capsys):
+        # the repeat check runs before annotation, so a dropped record's id counts too
+        corpus, line = write_corpus_with(tmp_path, bad_record(tokens=[{"lemma": "the", "pos": "DET"}]))
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(bad_record()) + "\n")
+        code = main(["build", "--corpus", corpus, "--dishes", DISHES, "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{corpus}:{line + 1}: duplicate document id 'bad'" in capsys.readouterr().err
+
+
+class TestCorpusFields:
+    def build(self, tmp_path, records, dishes=DISHES):
+        lines = Path(CORPUS).read_text(encoding="utf-8").splitlines()
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines + [json.dumps(r) for r in records]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["build", "--corpus", str(corpus), "--dishes", str(dishes), "--output-dir", str(out)]) == 0
+        origins = {row[1] for row in read_csv(out / "eligibility.csv")[1:]}
+        return out, origins
+
+    def country_in_split(self, out, name, doc_id):
+        """The country a split gives the document: its origin, or the variation's own."""
+        manifest = json.loads((out / "manifests" / name).read_text())
+        countries = {v["id"]: v["country"] for v in manifest["variations"]}
+        countries.update(dict.fromkeys(manifest["knowledge_ids"], manifest["origin"]))
+        return countries[doc_id]
+
+    def test_null_country_falls_back_to_title_detection(self, tmp_path):
+        out, origins = self.build(tmp_path, [bad_record(id="n1", country=None)])
+        assert self.country_in_split(out, "couscous__MA.json", "n1") == "MA"
+        assert "NONE" not in origins
+
+    @pytest.mark.parametrize("country", ["", "  "])
+    def test_blank_country_falls_back_to_title_detection(self, tmp_path, country):
+        out, origins = self.build(tmp_path, [bad_record(id="b1", country=country)])
+        assert self.country_in_split(out, "couscous__MA.json", "b1") == "MA"
+
+    def test_padded_country_is_stripped(self, tmp_path):
+        out, origins = self.build(tmp_path, [bad_record(id="p1", title="Couscous Bowl", country=" ma ")])
+        assert self.country_in_split(out, "couscous__MA.json", "p1") == "MA"
+        assert not {o for o in origins if o != o.strip()}
+
+    def test_null_title_is_empty(self, tmp_path):
+        dishes = tmp_path / "dishes.json"
+        dishes.write_text(json.dumps([{"name": "None"}]))
+        records = [bad_record(id=f"t{i}", title=None, country="MA") for i in range(4)]
+        out, _ = self.build(tmp_path, records, dishes)
+        assert read_csv(out / "eligibility.csv")[1:] == [["None", "", "0", "0", "no_matches"]]
 
 
 class TestBadScoreInputs:
