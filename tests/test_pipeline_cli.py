@@ -234,7 +234,7 @@ class TestScore:
         calls = []
         monkeypatch.setattr(ingest, "filter_stream", lambda stream: calls.append(1) or filter_stream(stream))
         cmd_score(config)
-        assert len(calls) == len(referenced) < sum(1 for _ in open(CORPUS))
+        assert len(calls) == len(referenced) < len(Path(CORPUS).read_text().splitlines())
 
     def test_empty_manifest_set_still_parses_every_line(self, tmp_path, capsys):
         corpus, line = write_corpus_with(tmp_path, bad_record())
