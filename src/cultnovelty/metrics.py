@@ -14,22 +14,83 @@ thresholds. Variations are single documents scored against it:
   knowledge PPMI matrix;
 - divergent_surprise: mean row-wise JSD between the two PPMI matrices over
   the shared vocabulary.
+
+Array layout. ``build_knowledge_space`` calibrates each knowledge space
+once into ``KnowledgeArrays``: the sorted vocabulary as a lemma -> column
+index, the documents' probabilities as a dense n x V matrix, ``P_agg`` as
+a V-vector, and each document's halved probabilities (see below). The
+PPMI matrix carries its per-lemma rows, already L1-normalized
+(``ppmi.PpmiRow``). The leave-one-out newness threshold takes each fold's
+"rest" counts as the pooled counts minus the held-out row, a block of
+folds at a time; the pairwise difference threshold compares each document
+with all later ones in one block.
+
+Bit-identity. Every divergence goes through ``divergence.per_word_terms``,
+which makes the same IEEE operations per word as the scalar formula, and
+every JSD and threshold is summed with ``math.fsum``, which rounds the
+exact sum once, so the order of summation cannot move a result. Under
+equal weights a word on one side only contributes exactly half its
+probability, so ``difference``, the pairwise threshold and
+``divergent_surprise`` compute logarithms only for shared words; each
+shared word takes back its two halves inside the same ``fsum``
+(``divergence.equal_weight_jsds``). The results equal, bit for bit, the
+scalar per-word loop kept as ``scalar_*`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
-from .corpus import Document, TokenDistribution, aggregate_distribution, doc_distribution
-from .divergence import EQUAL_WEIGHTS, Side, jsd, jsd_decomposed
+import numpy as np
+
+from .corpus import Document, TokenDistribution, aggregate_distribution
+from .divergence import clamped_fsum, equal_weight_jsds, per_word_terms
+# jsd and jsd_decomposed stay reachable here: bench/tracer.py counts calls through these names
+from .divergence import jsd, jsd_decomposed  # noqa: F401
 from .errors import EmptyDocument, InsufficientKB
 from .ppmi import PpmiMatrix, build_ppmi
 
 DEFAULT_LAMBDA1 = 0.8
 DEFAULT_LAMBDA2 = 0.2
 DEFAULT_WINDOW = 3
+
+# folds of the leave-one-out threshold computed together: about this many
+# matrix cells per block
+_BLOCK_CELLS = 1 << 13
+
+
+@dataclass(frozen=True)
+class _Comparison:
+    """One variation laid out against one knowledge space's vocabulary."""
+
+    variation: Document
+    word_count: int  # distinct lemmas of the variation
+    columns: np.ndarray  # knowledge-space columns of the variation's known lemmas
+    known: np.ndarray  # the variation's probabilities of those lemmas
+    halves: list[float]  # 0.5 * each of the variation's probabilities
+    p: np.ndarray  # P_agg over the knowledge vocabulary, then 0 per unseen lemma
+    q: np.ndarray  # the variation over the same positions
+    terms: np.ndarray  # proportional-weight per-word terms of P_agg against q
+
+
+@dataclass
+class KnowledgeArrays:
+    """Array form of a knowledge space (see the module docstring).
+
+    ``last`` keeps the most recent variation's comparison, so the metrics
+    of one ``score_all`` lay the variation out once.
+    """
+
+    index: dict[str, int]
+    doc_probs: np.ndarray
+    doc_halves: tuple[list[float], ...]
+    agg: np.ndarray
+    agg_total: int
+    last: Optional[_Comparison] = None
 
 
 @dataclass(frozen=True)
@@ -45,6 +106,7 @@ class KnowledgeSpace:
     epsilon_difference: float
     ingredient_union: frozenset[str]
     mean_doc_length: float
+    arrays: KnowledgeArrays = field(repr=False, compare=False)
     window: int = DEFAULT_WINDOW
 
 
@@ -82,6 +144,23 @@ def _require_variation(variation: Document) -> None:
         raise EmptyDocument(f"variation {variation.id} has no body tokens")
 
 
+def _count_matrix(docs: Sequence[Document]) -> tuple[dict[str, int], np.ndarray]:
+    """Sorted vocabulary index and the n x V token counts of the documents."""
+    per_doc = [Counter(doc.lemmas) for doc in docs]
+    for doc, counts in zip(docs, per_doc):
+        if not counts:
+            raise EmptyDocument(f"document {doc.id} has no body tokens")
+    index = {lemma: j for j, lemma in enumerate(sorted(set().union(*per_doc)))}
+    matrix = np.zeros((len(docs), len(index)), dtype=np.int64)
+    for i, counts in enumerate(per_doc):
+        matrix[i, [index[lemma] for lemma in counts]] = list(counts.values())
+    return index, matrix
+
+
+def _row_halves(probs: np.ndarray) -> tuple[list[float], ...]:
+    return tuple((0.5 * row[row > 0.0]).tolist() for row in probs)
+
+
 def calibrate_newness_threshold(docs: Sequence[Document]) -> float:
     """Leave-one-out newness threshold over a knowledge-space document set.
 
@@ -92,27 +171,46 @@ def calibrate_newness_threshold(docs: Sequence[Document]) -> float:
     excluded from the pool.
     """
     _require_docs(docs)
-    pooled: list[float] = []
-    for i, held_out in enumerate(docs):
-        rest = [d for j, d in enumerate(docs) if j != i]
-        p_loo = aggregate_distribution(rest)
-        q = doc_distribution(held_out)
-        _, contributions = jsd_decomposed(p_loo, q)
-        pooled.extend(c.value for c in contributions if c.value > 0.0)
+    _, counts = _count_matrix(docs)
+    doc_totals = counts.sum(axis=1, keepdims=True)
+    pooled_counts = counts.sum(axis=0)
+    total = int(doc_totals.sum())
+    block = max(1, _BLOCK_CELLS // counts.shape[1])
+    positive = []
+    for start in range(0, len(docs), block):
+        held = counts[start:start + block]
+        held_total = doc_totals[start:start + block]
+        rest = pooled_counts - held
+        rest_total = total - held_total
+        terms = per_word_terms(
+            rest / rest_total, held / held_total, rest_total / total, held_total / total
+        )
+        positive.append(terms[terms > 0.0])
+    pooled = sum(len(values) for values in positive)
     if not pooled:
         return 0.0
-    return math.fsum(pooled) / len(pooled)
+    return math.fsum(chain.from_iterable(values.tolist() for values in positive)) / pooled
 
 
 def calibrate_difference_threshold(docs: Sequence[Document]) -> float:
     """Mean equal-weight pairwise JSD among the knowledge-space documents."""
     _require_docs(docs)
-    dists = [doc_distribution(d) for d in docs]
-    pair_values = [
-        jsd(dists[i], dists[j], EQUAL_WEIGHTS)
-        for i in range(len(dists))
-        for j in range(i + 1, len(dists))
-    ]
+    _, counts = _count_matrix(docs)
+    probs = counts / counts.sum(axis=1, keepdims=True)
+    halves = _row_halves(probs)
+    pair_values: list[float] = []
+    for i in range(len(docs) - 1):
+        columns = np.flatnonzero(probs[i])
+        later = probs[i + 1:, columns]
+        owner, shared = np.nonzero(later)
+        pair_values.extend(
+            equal_weight_jsds(
+                [(halves[i], halves[j]) for j in range(i + 1, len(docs))],
+                owner,
+                probs[i, columns][shared],
+                later[owner, shared],
+            )
+        )
     return math.fsum(pair_values) / len(pair_values)
 
 
@@ -129,18 +227,59 @@ def build_knowledge_space(
         if not doc.body_tokens:
             raise EmptyDocument(f"knowledge document {doc.id} has no body tokens")
     ingredient_union = frozenset().union(*(d.ingredients for d in ordered))
+    P_agg = aggregate_distribution(ordered)
+    index, counts = _count_matrix(ordered)
+    doc_probs = counts / counts.sum(axis=1, keepdims=True)
     return KnowledgeSpace(
         product=product,
         culture=culture,
         docs=ordered,
-        P_agg=aggregate_distribution(ordered),
+        P_agg=P_agg,
         ppmi=build_ppmi(ordered, window=window),
         epsilon_newness=calibrate_newness_threshold(ordered),
         epsilon_difference=calibrate_difference_threshold(ordered),
         ingredient_union=ingredient_union,
         mean_doc_length=sum(len(d.body_tokens) for d in ordered) / len(ordered),
+        arrays=KnowledgeArrays(
+            index=index,
+            doc_probs=doc_probs,
+            doc_halves=_row_halves(doc_probs),
+            agg=np.array([P_agg.probs[lemma] for lemma in index]),
+            agg_total=P_agg.token_total,
+        ),
         window=window,
     )
+
+
+def _compare(kb: KnowledgeSpace, variation: Document) -> _Comparison:
+    """The variation laid out against kb; reused while the same variation is scored."""
+    arrays = kb.arrays
+    if arrays.last is not None and arrays.last.variation is variation:
+        return arrays.last
+    lemmas = variation.lemmas
+    counts = Counter(lemmas)
+    words = list(counts)
+    probs = np.array([counts[w] for w in words]) / len(lemmas)
+    columns = [arrays.index.get(w) for w in words]
+    is_known = np.array([c is not None for c in columns], dtype=bool)
+    known_columns = np.array([c for c in columns if c is not None], dtype=np.intp)
+    unseen = probs[~is_known]
+    p = np.concatenate((arrays.agg, np.zeros(len(unseen))))
+    q = np.concatenate((np.zeros(len(arrays.agg)), unseen))
+    q[known_columns] = probs[is_known]
+    total = arrays.agg_total + len(lemmas)
+    comparison = _Comparison(
+        variation=variation,
+        word_count=len(words),
+        columns=known_columns,
+        known=probs[is_known],
+        halves=(0.5 * probs).tolist(),
+        p=p,
+        q=q,
+        terms=per_word_terms(p, q, arrays.agg_total / total, len(lemmas) / total),
+    )
+    arrays.last = comparison
+    return comparison
 
 
 def newness(
@@ -159,19 +298,12 @@ def newness(
     _require_variation(variation)
     if abs(lambda1 + lambda2 - 1.0) > 1e-12:
         raise ValueError("lambda1 + lambda2 must equal 1")
-    q = doc_distribution(variation)
-    _, contributions = jsd_decomposed(kb.P_agg, q)
-    eps = kb.epsilon_newness
-    appeared = 0
-    disappeared = 0
-    for c in contributions:
-        if c.value > eps:
-            if c.attributed_to is Side.Q_SIDE:
-                appeared += 1
-            elif c.attributed_to is Side.P_SIDE:
-                disappeared += 1
-    appearance = appeared / len(q.support)
-    disappearance = disappeared / len(kb.P_agg.support)
+    c = _compare(kb, variation)
+    over = c.terms > kb.epsilon_newness
+    appeared = int(np.count_nonzero(over & (c.q > c.p)))
+    disappeared = int(np.count_nonzero(over & (c.p > c.q)))
+    appearance = appeared / c.word_count
+    disappearance = disappeared / len(kb.arrays.agg)
     return appearance, disappearance, lambda1 * appearance + lambda2 * disappearance
 
 
@@ -181,7 +313,7 @@ def uniqueness(kb: KnowledgeSpace, variation: Document) -> float:
     Mixture weights are proportional to the corpus and document token totals.
     """
     _require_variation(variation)
-    return jsd(kb.P_agg, doc_distribution(variation))
+    return clamped_fsum(_compare(kb, variation).terms.tolist())
 
 
 def difference(kb: KnowledgeSpace, variation: Document) -> float:
@@ -191,12 +323,16 @@ def difference(kb: KnowledgeSpace, variation: Document) -> float:
     documents carry no meaningful size asymmetry.
     """
     _require_variation(variation)
-    q = doc_distribution(variation)
-    exceeding = sum(
-        1
-        for doc in kb.docs
-        if jsd(doc_distribution(doc), q, EQUAL_WEIGHTS) > kb.epsilon_difference
+    c = _compare(kb, variation)
+    doc_probs = kb.arrays.doc_probs[:, c.columns]
+    owner, shared = np.nonzero(doc_probs)
+    distances = equal_weight_jsds(
+        [(doc_half, c.halves) for doc_half in kb.arrays.doc_halves],
+        owner,
+        doc_probs[owner, shared],
+        c.known[shared],
     )
+    exceeding = sum(1 for value in distances if value > kb.epsilon_difference)
     return exceeding / len(kb.docs)
 
 
@@ -218,24 +354,6 @@ def new_surprise(kb_ppmi: PpmiMatrix, var_ppmi: PpmiMatrix) -> float:
     return novel / len(var_ppmi.pairs)
 
 
-def _rows_for(matrix: PpmiMatrix, lemmas: frozenset[str]) -> dict[str, dict[str, float]]:
-    rows: dict[str, dict[str, float]] = {lemma: {} for lemma in lemmas}
-    for (a, b), v in matrix.pairs.items():
-        if a in rows:
-            rows[a][b] = v
-        if b in rows and a != b:
-            rows[b][a] = v
-    return rows
-
-
-def _row_distribution(row: dict[str, float]) -> TokenDistribution:
-    mass = math.fsum(row.values())
-    return TokenDistribution(
-        probs={w: v / mass for w, v in row.items()},
-        token_total=len(row),
-    )
-
-
 def divergent_surprise(kb_ppmi: PpmiMatrix, var_ppmi: PpmiMatrix) -> float:
     """Mean equal-weight JSD between matching PPMI rows of the two matrices.
 
@@ -243,22 +361,23 @@ def divergent_surprise(kb_ppmi: PpmiMatrix, var_ppmi: PpmiMatrix) -> float:
     row has positive mass on both sides; each row is L1-normalized into a
     distribution over its collocation partners first.
     """
-    shared = kb_ppmi.vocab & var_ppmi.vocab
-    if not shared:
-        return 0.0
-    kb_rows = _rows_for(kb_ppmi, shared)
-    var_rows = _rows_for(var_ppmi, shared)
-    values = []
-    for lemma in sorted(shared):
-        kb_row = kb_rows[lemma]
-        var_row = var_rows[lemma]
-        if not kb_row or not var_row:
+    halves = []
+    owner, p, q = [], [], []
+    for lemma in sorted(kb_ppmi.vocab & var_ppmi.vocab):
+        kb_row = kb_ppmi.rows.get(lemma)
+        var_row = var_ppmi.rows.get(lemma)
+        if kb_row is None or var_row is None:
             continue
-        values.append(
-            jsd(_row_distribution(kb_row), _row_distribution(var_row), EQUAL_WEIGHTS)
-        )
-    if not values:
+        for partner, q_value in var_row.probs.items():
+            p_value = kb_row.probs.get(partner)
+            if p_value is not None:
+                owner.append(len(halves))
+                p.append(p_value)
+                q.append(q_value)
+        halves.append((kb_row.halves, var_row.halves))
+    if not halves:
         return 0.0
+    values = equal_weight_jsds(halves, np.array(owner, dtype=np.intp), np.array(p), np.array(q))
     return math.fsum(values) / len(values)
 
 

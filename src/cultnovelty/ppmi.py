@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .corpus import Document
 from .errors import EmptyCorpus
@@ -22,17 +22,30 @@ def _pair_key(a: str, b: str) -> Pair:
     return (a, b) if a <= b else (b, a)
 
 
+class PpmiRow(NamedTuple):
+    """One lemma's PPMI row, L1-normalized into a distribution over its partners.
+
+    halves holds 0.5 * each probability: under equal mixture weights, a
+    partner the other row lacks adds exactly that much to their JSD.
+    """
+
+    probs: Mapping[str, float]
+    halves: list[float]
+
+
 @dataclass(frozen=True)
 class PpmiMatrix:
     """Sparse symmetric map of unordered lemma pairs to positive PMI bits.
 
     vocab covers every lemma seen in the source documents, including
-    lemmas that ended up with no positively associated pair.
+    lemmas that ended up with no positively associated pair; rows holds a
+    row for each lemma that has one.
     """
 
     pairs: Mapping[Pair, float]
     vocab: frozenset[str]
     pair_total: int
+    rows: Mapping[str, PpmiRow] = field(repr=False, compare=False)
 
     def value(self, a: str, b: str) -> float:
         return self.pairs.get(_pair_key(a, b), 0.0)
@@ -82,4 +95,19 @@ def build_ppmi(docs: Union[Document, Iterable[Document]], window: int = 3) -> Pp
         pairs=pairs,
         vocab=frozenset(unigrams),
         pair_total=pair_total,
+        rows=_rows(pairs),
     )
+
+
+def _rows(pairs: Mapping[Pair, float]) -> dict[str, PpmiRow]:
+    grouped: dict[str, dict[str, float]] = {}
+    for (a, b), v in pairs.items():
+        grouped.setdefault(a, {})[b] = v
+        if a != b:
+            grouped.setdefault(b, {})[a] = v
+    rows = {}
+    for lemma, row in grouped.items():
+        mass = math.fsum(row.values())
+        probs = {partner: v / mass for partner, v in row.items()}
+        rows[lemma] = PpmiRow(probs, [0.5 * p for p in probs.values()])
+    return rows

@@ -4,6 +4,7 @@ Everything here works on plain token lists and dicts, straight from the
 defining formulas, and deliberately shares no code with the package.
 """
 
+import math
 import re
 from collections import Counter
 from itertools import combinations
@@ -177,6 +178,121 @@ def oracle_divergent_surprise(kb_docs, variation, window=3):
         q = {k: v / sq for k, v in row_q.items()}
         values.append(oracle_jsd(p, q, 0.5, 0.5))
     return sum(values) / len(values) if values else 0.0
+
+
+# The scalar reference: the package's metric and calibration code before it
+# was vectorized, one Python call per word term, on token lists. The package
+# makes the same float operations per word and sums them exactly rounded,
+# so tests compare it with these by ==, not within a tolerance.
+
+
+def _scalar_term(p, q, pi1, pi2):
+    if p == q:
+        return 0.0
+    m = pi1 * p + pi2 * q
+    term = 0.0
+    if p > 0.0:
+        term += pi1 * p * math.log2(p / m)
+    if q > 0.0:
+        term += pi2 * q * math.log2(q / m)
+    return term if term > 0.0 else 0.0
+
+
+def _scalar_clamp(total):
+    if total < 0.0:
+        return 0.0
+    return min(total, 1.0)
+
+
+def scalar_jsd(p, q, pi1, pi2):
+    """JSD of two {word: probability} dicts, summed with fsum and clamped."""
+    terms = [_scalar_term(p.get(w, 0.0), q.get(w, 0.0), pi1, pi2) for w in set(p) | set(q)]
+    return _scalar_clamp(math.fsum(terms))
+
+
+def scalar_contributions(p, q, pi1, pi2):
+    """(word, term, side) per word of the union; side is "Q", "P" or "NEUTRAL"."""
+    out = []
+    for w in sorted(set(p) | set(q)):
+        pw, qw = p.get(w, 0.0), q.get(w, 0.0)
+        side = "Q" if qw > pw else "P" if pw > qw else "NEUTRAL"
+        out.append((w, _scalar_term(pw, qw, pi1, pi2), side))
+    return out
+
+
+def scalar_newness_threshold(docs):
+    pooled = []
+    for i, held in enumerate(docs):
+        p, tp = pooled_dist([d for j, d in enumerate(docs) if j != i])
+        q, tq = dist_of(held)
+        pi1, pi2 = proportional_weights(tp, tq)
+        pooled.extend(v for _, v, _ in scalar_contributions(p, q, pi1, pi2) if v > 0.0)
+    if not pooled:
+        return 0.0
+    return math.fsum(pooled) / len(pooled)
+
+
+def scalar_difference_threshold(docs):
+    dists = [dist_of(d)[0] for d in docs]
+    values = [scalar_jsd(a, b, 0.5, 0.5) for a, b in combinations(dists, 2)]
+    return math.fsum(values) / len(values)
+
+
+def scalar_newness(docs, variation, lambda1=0.8, lambda2=0.2):
+    eps = scalar_newness_threshold(docs)
+    p, tp = pooled_dist(docs)
+    q, tq = dist_of(variation)
+    pi1, pi2 = proportional_weights(tp, tq)
+    appeared = disappeared = 0
+    for _, value, side in scalar_contributions(p, q, pi1, pi2):
+        if value > eps:
+            appeared += side == "Q"
+            disappeared += side == "P"
+    appearance = appeared / len(q)
+    disappearance = disappeared / len(p)
+    return appearance, disappearance, lambda1 * appearance + lambda2 * disappearance
+
+
+def scalar_uniqueness(docs, variation):
+    p, tp = pooled_dist(docs)
+    q, tq = dist_of(variation)
+    return scalar_jsd(p, q, *proportional_weights(tp, tq))
+
+
+def scalar_difference(docs, variation):
+    eps = scalar_difference_threshold(docs)
+    q, _ = dist_of(variation)
+    exceeding = sum(1 for d in docs if scalar_jsd(dist_of(d)[0], q, 0.5, 0.5) > eps)
+    return exceeding / len(docs)
+
+
+def scalar_divergent_surprise(kb_docs, variation, window=3):
+    kb_pairs, kb_vocab, _ = oracle_ppmi(kb_docs, window)
+    var_pairs, var_vocab, _ = oracle_ppmi([variation], window)
+    shared = kb_vocab & var_vocab
+    kb_rows = _rows(kb_pairs, shared)
+    var_rows = _rows(var_pairs, shared)
+    values = []
+    for w in sorted(shared):
+        if not kb_rows[w] or not var_rows[w]:
+            continue
+        kb_mass, var_mass = math.fsum(kb_rows[w].values()), math.fsum(var_rows[w].values())
+        p = {k: v / kb_mass for k, v in kb_rows[w].items()}
+        q = {k: v / var_mass for k, v in var_rows[w].items()}
+        values.append(scalar_jsd(p, q, 0.5, 0.5))
+    if not values:
+        return 0.0
+    return math.fsum(values) / len(values)
+
+
+def scalar_score_all(docs, variation, window=3, lambda1=0.8, lambda2=0.2):
+    """The seven NoveltyScores fields, in their order."""
+    return scalar_newness(docs, variation, lambda1, lambda2) + (
+        scalar_uniqueness(docs, variation),
+        scalar_difference(docs, variation),
+        oracle_new_surprise(docs, variation, window),  # pair counting, no per-word term
+        scalar_divergent_surprise(docs, variation, window),
+    )
 
 
 def oracle_rbo(list_a, list_b, p):

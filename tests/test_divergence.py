@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cultnovelty.corpus import TokenDistribution
 from cultnovelty.divergence import (
@@ -67,6 +69,17 @@ class TestJsd:
             p, q = random_pair(rng, rng.randint(2, 12))
             w = MixtureWeights.proportional(p, q)
             assert abs(jsd(p, q, w) - jsd(q, p, MixtureWeights(w.pi2, w.pi1))) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(st.sampled_from("abcdefgh"), st.integers(1, 40), min_size=1),
+        st.dictionaries(st.sampled_from("abcdefgh"), st.integers(1, 40), min_size=1),
+        st.floats(0.001, 0.999),
+    )
+    def test_symmetry_is_exact(self, p_counts, q_counts, a):
+        # m and the two-term sum commute exactly, and fsum is exact
+        p, q = dist(p_counts), dist(q_counts)
+        assert jsd(p, q, MixtureWeights(a, 1.0 - a)) == jsd(q, p, MixtureWeights(1.0 - a, a))
 
     def test_bounds(self):
         rng = random.Random(13)
