@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .corpus import Document
 from .distances import Registry
 from .errors import IneligibleDish, ParseError
+from .ingest import check_country
 
 DEFAULT_HOLDOUT = 0.3
 MIN_KNOWLEDGE = 2
@@ -91,7 +92,7 @@ def load_dish_specs(path: Union[str, Path]) -> list[DishSpec]:
                     aliases=[str(a) for a in entry.get("aliases", [])],
                     excluded_patterns=[str(p) for p in entry.get("excluded", [])],
                     country_overrides={
-                        str(k): str(v).upper()
+                        str(k): check_country(str(v).upper(), f"{path}: dish entry {i}")
                         for k, v in entry.get("country_overrides", {}).items()
                     },
                 )

@@ -35,6 +35,20 @@ def _nfc(value: str) -> str:
     return unicodedata.normalize("NFC", value)
 
 
+def check_country(country: str, where: str) -> str:
+    """Return the country if it can name a manifest file; raise ParseError if not.
+
+    Build writes one manifest per (dish, origin) named after the origin, so
+    a path separator, a control character (NUL included), "." or ".."
+    would escape or break that file name.
+    """
+    if country in (".", "..") or any(
+        c in "/\\" or unicodedata.category(c) == "Cc" for c in country
+    ):
+        raise ParseError(f"{where}: country {country!r} cannot name a manifest file")
+    return country
+
+
 def _document_from_record(record: dict, doc_id: str, provider_name: str, where: str) -> Document:
     title = record.get("title")
     title = "" if title is None else _nfc(str(title))
@@ -66,6 +80,7 @@ def _document_from_record(record: dict, doc_id: str, provider_name: str, where: 
 
     country = record.get("country")
     country = "UNKNOWN" if country is None else str(country).strip().upper() or "UNKNOWN"
+    check_country(country, where)
     raw_ingredients = record.get("ingredients", [])
     if not isinstance(raw_ingredients, list):
         raise ParseError(f"{where}: ingredients must be a JSON array")

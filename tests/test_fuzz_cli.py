@@ -137,7 +137,9 @@ records = st.fixed_dictionaries({
     # an id the corpus already holds, a new one in two Unicode forms, or junk
     "id": st.sampled_from(["new", "ne\u0301w", "n\u00e9w", "r001"]) | json_values,
     "title": st.sampled_from(["Moroccan Couscous", "Greek Lasagna", "couscous", ""]) | json_values,
-    "country": st.sampled_from(["MA", " gr ", "", "XX"]) | json_values,
+    # the last five cannot name a manifest file
+    "country": st.sampled_from(["MA", " gr ", "", "XX", "M\u0000A", "a/b", "a\\b", ".", ".."])
+    | json_values,
     "ingredients": st.lists(words | json_values, max_size=3) | json_values,
     "text": st.lists(words, max_size=6).map(" ".join) | json_values,
     "tokens": tokens | json_values,

@@ -559,6 +559,15 @@ class TestCli:
         assert f"{dishes}: dish entry 0: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_override_country_that_cannot_name_a_file_exits_two(self, tmp_path, capsys):
+        dishes = tmp_path / "dishes.json"
+        dishes.write_text(json.dumps([{"name": "Couscous", "country_overrides": {"couscous": "a/b"}}]))
+        code = main(["build", "--corpus", CORPUS, "--dishes", str(dishes),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{dishes}: dish entry 0: country 'A/B' cannot name a manifest file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_full_run_via_cli(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         base = ["--corpus", CORPUS, "--output-dir", out, "--seed", "17", "--n-boot", "10"]
@@ -638,6 +647,24 @@ class TestBadCorpusRecords:
         assert code == 2
         assert f"{corpus}:{line}:" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize(
+        "country",
+        ["M\u0000A", "a/b", "a\\b", "m\u001fa", "\u007f", ".", " .. "],
+        ids=["nul", "slash", "backslash", "control", "delete", "dot", "dotdot"],
+    )
+    def test_country_that_cannot_name_a_file_exits_two_before_any_output(
+        self, tmp_path, capsys, country
+    ):
+        # the origin names the manifest file: couscous__<origin>.json
+        corpus, line = write_corpus_with(tmp_path, bad_record(country=country))
+        out = tmp_path / "out"
+        code = main(["build", "--corpus", corpus, "--dishes", DISHES, "--output-dir", str(out)])
+        assert code == 2
+        assert f"{corpus}:{line}: country {country.strip().upper()!r} cannot name a manifest file" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_id_repeated_after_a_dropped_record_exits_two(self, tmp_path, capsys):
         # the repeat check runs before annotation, so a dropped record's id counts too
