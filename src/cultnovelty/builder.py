@@ -67,8 +67,17 @@ class CorpusSplit:
     variations: tuple[Document, ...]
 
 
+def dish_slug(name: str) -> str:
+    """The dish part of its manifest file names, ``<slug>__<origin>.json``."""
+    return "".join(c if c.isalnum() else "_" for c in name.lower())
+
+
 def load_dish_specs(path: Union[str, Path]) -> list[DishSpec]:
-    """Load a dish-spec JSON file: a list of {name, aliases, excluded, country_overrides}."""
+    """Load a dish-spec JSON file: a list of {name, aliases, excluded, country_overrides}.
+
+    Two entries whose names give the same slug would write the same
+    manifest files, so they are rejected.
+    """
     path = Path(path)
     try:
         entries = json.loads(path.read_text("utf-8"))
@@ -77,6 +86,7 @@ def load_dish_specs(path: Union[str, Path]) -> list[DishSpec]:
     if not isinstance(entries, list):
         raise ParseError(f"{path}: expected a JSON array of dish specs")
     specs = []
+    slugs: dict[str, int] = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ParseError(f"{path}: dish entry {i}: must be a JSON object")
@@ -99,6 +109,13 @@ def load_dish_specs(path: Union[str, Path]) -> list[DishSpec]:
             )
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{path}: dish entry {i}: {exc}") from exc
+        slug = dish_slug(specs[-1].canonical_name)
+        first = slugs.setdefault(slug, i)
+        if first != i:
+            raise ParseError(
+                f"{path}: dish entries {first} ({specs[first].canonical_name!r}) and {i} "
+                f"({specs[-1].canonical_name!r}) would share the manifest files {slug}__<origin>.json"
+            )
     return specs
 
 

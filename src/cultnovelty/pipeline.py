@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_type_hints
@@ -23,6 +24,7 @@ from . import __version__
 from .builder import (
     build_split,
     detect_country,
+    dish_slug,
     load_dish_specs,
     matched_documents,
 )
@@ -174,10 +176,6 @@ def derive_split_seed(master_seed: int, dish: str, origin: str) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _slug(name: str) -> str:
-    return "".join(c if c.isalnum() else "_" for c in name.lower())
-
-
 def resolve_countries(docs: Sequence[Document], registry: Registry) -> list[Document]:
     """Fill in UNKNOWN document countries by title detection."""
     resolved = []
@@ -208,28 +206,51 @@ def _run_manifest(config: RunConfig, inputs: dict[str, str], outputs: Sequence[s
 # build
 
 
+def _name_max(directory: Path) -> int:
+    """Longest file name, in UTF-8 bytes, that the file system holding directory takes.
+
+    The directory need not exist yet: its nearest existing ancestor is asked.
+    255 where the limit is unavailable.
+    """
+    existing = next(p for p in (directory, *directory.parents) if p.exists())
+    try:
+        limit = os.pathconf(existing, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):  # no pathconf, or no such limit here
+        return 255
+    return limit if limit > 0 else 255
+
+
 def cmd_build(config: RunConfig) -> dict:
     """Construct split manifests and the eligibility report.
 
-    All inputs are read and validated before the first byte is written, so
-    a missing or malformed input leaves no partial outputs behind.
+    Country detection and dish matching read titles only, so every corpus
+    line is checked but only the records they keep are annotated. All
+    inputs are read and validated, and every manifest file name checked,
+    before the first byte is written, so a missing or malformed input
+    leaves no partial outputs behind.
     """
     if not config.corpus_path or not config.dish_specs_path:
         raise ParseError("build requires corpus_path and dish_specs_path")
     registry = load_registry(config.registry_path)
+    dishes = sorted(load_dish_specs(config.dish_specs_path), key=lambda d: d.canonical_name)
     corpus_digest = _sha256_file(config.corpus_path)
-    corpus = read_documents(config.corpus_path, config.annotation_provider)
-    dishes = load_dish_specs(config.dish_specs_path)
-    resolved = resolve_countries(corpus, registry)
+    matches: list[list[Document]] = []
+
+    def screen(docs: list[Document]) -> set[str]:
+        resolved = resolve_countries(docs, registry)
+        matches.extend(matched_documents(resolved, dish) for dish in dishes)
+        return {doc.id for found in matches for doc in found}
+
+    # a matched record the POS filter empties is not returned, so it joins no split
+    kept = {doc.id for doc in read_documents(config.corpus_path, config.annotation_provider, ids=screen)}
 
     out_dir = Path(config.output_dir)
     manifest_dir = out_dir / "manifests"
-    manifest_dir.mkdir(parents=True, exist_ok=True)
-
+    name_max = _name_max(manifest_dir)
     eligibility_rows: list[tuple[str, str, str, str, str]] = []
-    written: list[str] = []
-    for dish in sorted(dishes, key=lambda d: d.canonical_name):
-        matched = matched_documents(resolved, dish)
+    manifests: dict[str, dict] = {}
+    for dish, found in zip(dishes, matches):
+        matched = [doc for doc in found if doc.id in kept]
         if not matched:
             eligibility_rows.append((dish.canonical_name, "", "0", "0", "no_matches"))
             continue
@@ -248,7 +269,19 @@ def cmd_build(config: RunConfig) -> dict:
                     )
                 )
                 continue
-            manifest = {
+            name = f"{dish_slug(dish.canonical_name)}__{origin}.json"
+            if len(name.encode("utf-8")) > name_max:
+                raise ParseError(
+                    f"dish {dish.canonical_name!r}, origin {origin!r}: manifest file name is "
+                    f"{len(name.encode('utf-8'))} bytes long, but {manifest_dir} takes at most {name_max}"
+                )
+            if name in manifests:
+                other = manifests[name]
+                raise ParseError(
+                    f"dish {other['product']!r}, origin {other['origin']!r} and dish "
+                    f"{dish.canonical_name!r}, origin {origin!r} would share the manifest file {name}"
+                )
+            manifests[name] = {
                 "corpus_sha256": corpus_digest,
                 "annotation_provider": config.annotation_provider,
                 "product": dish.canonical_name,
@@ -260,9 +293,6 @@ def cmd_build(config: RunConfig) -> dict:
                     {"id": d.id, "country": d.country} for d in split.variations
                 ],
             }
-            manifest_path = manifest_dir / f"{_slug(dish.canonical_name)}__{origin}.json"
-            _write_json(manifest_path, manifest)
-            written.append(str(manifest_path))
             eligibility_rows.append(
                 (
                     dish.canonical_name,
@@ -273,6 +303,12 @@ def cmd_build(config: RunConfig) -> dict:
                 )
             )
 
+    manifest_dir.mkdir(parents=True, exist_ok=True)
+    written: list[str] = []
+    for name, manifest in manifests.items():
+        manifest_path = manifest_dir / name
+        _write_json(manifest_path, manifest)
+        written.append(str(manifest_path))
     report_path = out_dir / "eligibility.csv"
     _write_csv(
         report_path,

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import logging
 import math
 import os
 import subprocess
@@ -12,7 +13,9 @@ import pytest
 
 from cultnovelty import ingest
 from cultnovelty.annotation import filter_stream
+from cultnovelty.builder import load_dish_specs, matched_documents
 from cultnovelty.cli import main
+from cultnovelty.distances import load_registry
 from cultnovelty.pipeline import (
     SCORE_COLUMNS,
     RunConfig,
@@ -23,6 +26,7 @@ from cultnovelty.pipeline import (
     cmd_score,
     derive_split_seed,
     fmt_float,
+    resolve_countries,
 )
 
 from conftest import FIXTURES
@@ -191,6 +195,73 @@ class TestBuild:
         with pytest.raises(FileNotFoundError):
             cmd_build(config)
         assert not (tmp_path / "out").exists()
+
+    def test_annotates_only_matched_records(self, tmp_path, monkeypatch):
+        resolved = resolve_countries(ingest.read_documents(CORPUS), load_registry())
+        matched = {doc.id for dish in load_dish_specs(DISHES) for doc in matched_documents(resolved, dish)}
+        calls = []
+        monkeypatch.setattr(ingest, "filter_stream", lambda stream: calls.append(1) or filter_stream(stream))
+        cmd_build(config_for(tmp_path))
+        assert len(calls) == len(matched) < len(Path(CORPUS).read_text().splitlines())
+
+    def test_dropped_warnings_name_matched_records_only(self, tmp_path, caplog):
+        function_words = [{"lemma": "the", "pos": "DET"}, {"lemma": "of", "pos": "ADP"}]
+        corpus, _ = write_corpus_with(
+            tmp_path,
+            bad_record(id="fw-matched", tokens=function_words),
+            bad_record(id="fw-unmatched", title=UNMATCHED_TITLE, tokens=function_words),
+        )
+        config = config_for(tmp_path, corpus_path=corpus)
+        with caplog.at_level(logging.WARNING, logger="cultnovelty"):
+            result = cmd_build(config)
+        assert "dropped document 'fw-matched' (empty after POS filter)" in caplog.text
+        assert "fw-unmatched" not in caplog.text
+        for path in result["manifests"]:
+            manifest = json.loads(Path(path).read_text())
+            assert "fw-matched" not in manifest["knowledge_ids"] + [v["id"] for v in manifest["variations"]]
+        # the emptied record joins no split, so the eligibility report is the plain fixture's
+        plain = config_for(tmp_path, output_dir=str(tmp_path / "plain"))
+        cmd_build(plain)
+        assert read_csv(Path(config.output_dir) / "eligibility.csv") == read_csv(
+            Path(plain.output_dir) / "eligibility.csv")
+
+    @pytest.mark.parametrize(
+        "names,slug",
+        [(["Cous Cous", "cous-cous"], "cous_cous"), (["Couscous", "Couscous"], "couscous")],
+        ids=["same_slug", "repeated_name"],
+    )
+    def test_dish_names_sharing_a_slug_exit_two(self, tmp_path, capsys, names, slug):
+        # both would write <slug>__MA.json; the second used to overwrite the first
+        dishes = tmp_path / "dishes.json"
+        dishes.write_text(json.dumps([{"name": "Paella"}] + [{"name": n, "aliases": ["couscous"]} for n in names]))
+        code = main(["build", "--corpus", CORPUS, "--dishes", str(dishes), "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"{dishes}: dish entries 1 ({names[0]!r}) and 2 ({names[1]!r}) would share the manifest "
+                f"files {slug}__<origin>.json") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_name_too_long_exits_two_before_any_output(self, tmp_path, capsys):
+        country = "A" * 300
+        corpus, _ = write_corpus_with(tmp_path, *(bad_record(id=f"long{i}", country=country) for i in range(6)))
+        out = tmp_path / "out"
+        code = main(["build", "--corpus", corpus, "--dishes", DISHES, "--output-dir", str(out)])
+        assert code == 2
+        assert (f"dish 'Couscous', origin {country!r}: manifest file name is 315 bytes long, "
+                f"but {out / 'manifests'} takes at most") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_names_that_would_collide_exit_two(self, tmp_path, capsys):
+        # couscous + __ + __X and couscous__ + __ + X both give couscous____X.json
+        dishes = tmp_path / "dishes.json"
+        dishes.write_text(json.dumps([{"name": "Couscous"}, {"name": "Couscous__", "aliases": ["couscous"]}]))
+        countries = ["__X"] * 6 + ["X"] * 6
+        corpus, _ = write_corpus_with(tmp_path, *(bad_record(id=f"c{i}", country=c) for i, c in enumerate(countries)))
+        out = tmp_path / "out"
+        code = main(["build", "--corpus", corpus, "--dishes", str(dishes), "--output-dir", str(out)])
+        assert code == 2
+        assert ("dish 'Couscous', origin '__X' and dish 'Couscous__', origin 'X' would share the "
+                "manifest file couscous____X.json") in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestScore:
@@ -611,53 +682,66 @@ class TestCli:
         assert len(rows) > 1
 
 
-def write_corpus_with(tmp_path, bad_record):
-    """The fixture corpus with one malformed record appended; returns (path, its line)."""
+def write_corpus_with(tmp_path, *records):
+    """The fixture corpus with records appended; returns (path, the first one's line)."""
     lines = Path(CORPUS).read_text(encoding="utf-8").splitlines()
-    lines.append(json.dumps(bad_record))
     path = tmp_path / "corpus.jsonl"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return str(path), len(lines)
+    path.write_text("\n".join(lines + [json.dumps(r) for r in records]) + "\n", encoding="utf-8")
+    return str(path), len(lines) + 1
+
+
+MATCHED_TITLE = "Moroccan Couscous"
+UNMATCHED_TITLE = "plain bowl"  # names no dish and no country
 
 
 def bad_record(**fields):
-    record = {"id": "bad", "title": "Moroccan Couscous", "ingredients": ["salt"],
+    record = {"id": "bad", "title": MATCHED_TITLE, "ingredients": ["salt"],
               "tokens": [{"lemma": "salt", "pos": "NOUN"}]}
     record.update(fields)
     return record
 
 
+def each_title(cases):
+    """Each (id, values) case under a dish-matched title, keeping its id, and
+    again under an unmatched one: every line is checked, annotated or not."""
+    return [
+        pytest.param(*values, title, id=case_id + suffix)
+        for case_id, values in cases
+        for suffix, title in (("", MATCHED_TITLE), ("-unmatched", UNMATCHED_TITLE))
+    ]
+
+
 class TestBadCorpusRecords:
     @pytest.mark.parametrize(
-        "record",
-        [
-            bad_record(tokens=[{"lemma": "olive oil", "pos": "NOUN"}]),
-            bad_record(tokens=["salt"]),
-            bad_record(tokens=[{"pos": "NOUN"}]),
-            bad_record(tokens="abc"),
-            bad_record(ingredients=5),
-        ],
-        ids=["lemma_with_space", "token_not_object", "token_without_lemma_or_text",
-             "tokens_not_array", "ingredients_not_array"],
+        "fields,provider,title",
+        each_title([
+            ("lemma_with_space", ({"tokens": [{"lemma": "olive oil", "pos": "NOUN"}]}, "preannotated")),
+            ("token_not_object", ({"tokens": ["salt"]}, "preannotated")),
+            ("token_without_lemma_or_text", ({"tokens": [{"pos": "NOUN"}]}, "preannotated")),
+            ("tokens_not_array", ({"tokens": "abc"}, "preannotated")),
+            ("ingredients_not_array", ({"ingredients": 5}, "preannotated")),
+            ("naive_blank_text", ({"text": " \t"}, "naive")),
+        ]),
     )
-    def test_build_exits_two_with_path_and_line(self, tmp_path, capsys, record):
-        corpus, line = write_corpus_with(tmp_path, record)
-        code = main(["build", "--corpus", corpus, "--dishes", DISHES,
+    def test_build_exits_two_with_path_and_line(self, tmp_path, capsys, fields, provider, title):
+        corpus, line = write_corpus_with(tmp_path, bad_record(title=title, **fields))
+        code = main(["build", "--corpus", corpus, "--dishes", DISHES, "--provider", provider,
                      "--output-dir", str(tmp_path / "out")])
         assert code == 2
         assert f"{corpus}:{line}:" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize(
-        "country",
-        ["M\u0000A", "a/b", "a\\b", "m\u001fa", "\u007f", ".", " .. "],
-        ids=["nul", "slash", "backslash", "control", "delete", "dot", "dotdot"],
+        "country,title",
+        each_title([(case_id, (country,)) for case_id, country in [
+            ("nul", "M\u0000A"), ("slash", "a/b"), ("backslash", "a\\b"), ("control", "m\u001fa"),
+            ("delete", "\u007f"), ("dot", "."), ("dotdot", " .. ")]]),
     )
     def test_country_that_cannot_name_a_file_exits_two_before_any_output(
-        self, tmp_path, capsys, country
+        self, tmp_path, capsys, country, title
     ):
         # the origin names the manifest file: couscous__<origin>.json
-        corpus, line = write_corpus_with(tmp_path, bad_record(country=country))
+        corpus, line = write_corpus_with(tmp_path, bad_record(country=country, title=title))
         out = tmp_path / "out"
         code = main(["build", "--corpus", corpus, "--dishes", DISHES, "--output-dir", str(out)])
         assert code == 2
@@ -666,14 +750,20 @@ class TestBadCorpusRecords:
         )
         assert not out.exists()
 
-    def test_id_repeated_after_a_dropped_record_exits_two(self, tmp_path, capsys):
-        # the repeat check runs before annotation, so a dropped record's id counts too
-        corpus, line = write_corpus_with(tmp_path, bad_record(tokens=[{"lemma": "the", "pos": "DET"}]))
-        with open(corpus, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(bad_record()) + "\n")
+    def check_repeated_id(self, tmp_path, capsys, title):
+        # the repeat check runs before annotation, so the id of a dropped or
+        # unannotated record counts too
+        first = bad_record(title=title, tokens=[{"lemma": "the", "pos": "DET"}])
+        corpus, line = write_corpus_with(tmp_path, first, bad_record())
         code = main(["build", "--corpus", corpus, "--dishes", DISHES, "--output-dir", str(tmp_path / "out")])
         assert code == 2
         assert f"{corpus}:{line + 1}: duplicate document id 'bad'" in capsys.readouterr().err
+
+    def test_id_repeated_after_a_dropped_record_exits_two(self, tmp_path, capsys):
+        self.check_repeated_id(tmp_path, capsys, MATCHED_TITLE)
+
+    def test_id_repeated_after_an_unmatched_record_exits_two(self, tmp_path, capsys):
+        self.check_repeated_id(tmp_path, capsys, UNMATCHED_TITLE)
 
 
 class TestCorpusFields:

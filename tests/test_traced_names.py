@@ -3,8 +3,8 @@
 The tracer reports a name it cannot find as missing and its per-layer
 metric as 0, so a rename or deletion would otherwise pass unnoticed. A
 name can also stay but stop being called through the attribute the tracer
-wraps; the traced build and score below catch that for the calibrations
-and the metrics.
+wraps; the traced build and score below catch that for the build layers,
+the calibrations and the metrics.
 """
 
 import importlib
@@ -31,6 +31,15 @@ def _tracer():
 tracer = _tracer()
 TARGETS = [(module, attr) for module, attr, _, _ in tracer.TARGETS]
 
+# spans one build must record: ingest, annotation, country detection, dish
+# matching and the split, each a per-layer metric
+BUILD_SPANS = (
+    "ingest.read_documents",
+    "annotation.filter_stream",
+    "pipeline.resolve_countries",
+    "builder.matched_documents",
+    "builder.build_split",
+)
 # spans one build and one score must record, one per per-layer metric of
 # knowledge-space calibration and scoring
 SCORING_SPANS = (
@@ -74,6 +83,8 @@ def test_traced_build_and_score_record_every_scoring_span(tmp_path, monkeypatch)
         seed=17,
     )
     modules["pipeline"].cmd_build(config)
+    built = Counter(span[0] for span in traced.spans)
+    assert {name: built[name] for name in BUILD_SPANS if not built[name]} == {}
     modules["pipeline"].cmd_score(config)
 
     recorded = Counter(span[0] for span in traced.spans)
