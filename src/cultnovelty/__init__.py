@@ -1,58 +1,3 @@
 """Information-theoretic cultural novelty metrics over recipe corpora."""
 
 __version__ = "0.1.0"
-
-from .corpus import (
-    AnnotatedToken,
-    ControlVars,
-    Document,
-    TokenDistribution,
-    aggregate_distribution,
-    control_variables,
-    doc_distribution,
-)
-from .divergence import EQUAL_WEIGHTS, MixtureWeights, Side, WordContribution, jsd, jsd_decomposed
-from .metrics import (
-    KnowledgeSpace,
-    NoveltyScores,
-    build_knowledge_space,
-    calibrate_difference_threshold,
-    calibrate_newness_threshold,
-    difference,
-    divergent_surprise,
-    new_surprise,
-    newness,
-    score_all,
-    uniqueness,
-)
-from .ppmi import PpmiMatrix, build_ppmi
-
-__all__ = [
-    "AnnotatedToken",
-    "ControlVars",
-    "Document",
-    "TokenDistribution",
-    "aggregate_distribution",
-    "control_variables",
-    "doc_distribution",
-    "EQUAL_WEIGHTS",
-    "MixtureWeights",
-    "Side",
-    "WordContribution",
-    "jsd",
-    "jsd_decomposed",
-    "KnowledgeSpace",
-    "NoveltyScores",
-    "build_knowledge_space",
-    "calibrate_difference_threshold",
-    "calibrate_newness_threshold",
-    "difference",
-    "divergent_surprise",
-    "new_surprise",
-    "newness",
-    "score_all",
-    "uniqueness",
-    "PpmiMatrix",
-    "build_ppmi",
-    "__version__",
-]

@@ -138,8 +138,6 @@ def _guess(surface: str) -> tuple[str, str]:
 class NaiveProvider:
     """Rule-based pipeline over raw text; deterministic and self-contained."""
 
-    name = "naive"
-
     def token_stream(self, raw_text: str) -> list[tuple[str, str]]:
         stream: list[tuple[str, str]] = []
         for surface in _TOKEN_RE.findall(raw_text.lower()):
@@ -159,8 +157,6 @@ class PreannotatedProvider:
     Each entry carries a tag plus either an explicit lemma or a surface
     form; surfaces without a lemma fall back to the tag-aware lemmatizer.
     """
-
-    name = "preannotated"
 
     def __init__(self, entries: Sequence[Mapping[str, str]]):
         self._entries = entries

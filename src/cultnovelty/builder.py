@@ -76,7 +76,8 @@ def load_dish_specs(path: Union[str, Path]) -> list[DishSpec]:
     """Load a dish-spec JSON file: a list of {name, aliases, excluded, country_overrides}.
 
     Two entries whose names give the same slug would write the same
-    manifest files, so they are rejected.
+    manifest files, so they are rejected, as is a blank name, alias,
+    exclusion or override pattern.
     """
     path = Path(path)
     try:
@@ -95,6 +96,13 @@ def load_dish_specs(path: Union[str, Path]) -> list[DishSpec]:
                                 ("country_overrides", dict, "object")):
             if not isinstance(entry.get(key, kind()), kind):
                 raise ParseError(f"{path}: dish entry {i}: {key} must be a JSON {name}")
+        # a blank surface would match, or exclude, any title with a standalone punctuation mark
+        for key, values in (("name", [entry["name"]] if "name" in entry else []),
+                            ("aliases", entry.get("aliases", [])),
+                            ("excluded", entry.get("excluded", [])),
+                            ("country_overrides", entry.get("country_overrides", {}))):
+            if any(not str(value).strip() for value in values):
+                raise ParseError(f"{path}: dish entry {i}: {key} holds an empty or blank string")
         try:
             specs.append(
                 DishSpec.create(
@@ -181,7 +189,7 @@ def forced_country(title: str, dish: DishSpec) -> Optional[str]:
 
 
 def matched_documents(corpus: Iterable[Document], dish: DishSpec) -> list[Document]:
-    """Dish-matched documents with effective country and product stamped on.
+    """Dish-matched documents with their effective country stamped on.
 
     Documents whose country stays UNKNOWN are excluded; the per-dish
     country overrides are applied here, after generic detection.
@@ -193,7 +201,7 @@ def matched_documents(corpus: Iterable[Document], dish: DishSpec) -> list[Docume
         country = forced_country(doc.title, dish) or doc.country
         if country == "UNKNOWN":
             continue
-        out.append(replace(doc, country=country, product=dish.canonical_name))
+        out.append(replace(doc, country=country))
     return out
 
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from .errors import ConflictingEntry, CultNoveltyError, ParseError, UnknownCountry
+from .ingest import PROVIDERS
 from .pipeline import (
     RunConfig,
     cmd_analyze,
@@ -39,7 +41,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="master random seed")
     parser.add_argument(
         "--provider",
-        choices=("preannotated", "naive"),
+        choices=PROVIDERS,
         dest="annotation_provider",
         help="annotation source for corpus ingestion",
     )
@@ -87,27 +89,18 @@ def build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_FLAGS = (
-    "seed",
-    "annotation_provider",
-    "rbo_p",
-    "pmi_window",
-    "holdout_fraction",
-    "n_boot",
-    "corpus_path",
-    "dish_specs_path",
-    "registry_path",
-    "linguistic_path",
-    "religious_path",
-    "output_dir",
-)
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {name: getattr(args, name, None) for name in _CONFIG_FLAGS}
+    overrides = {
+        f.name: getattr(args, f.name, None)
+        for f in fields(RunConfig)
+        if f.name not in ("lambda1", "lambda2")
+    }
     if getattr(args, "lambda1", None) is not None:
+        from decimal import Decimal  # imported here, so only a --lambda1 run pays its 0.3 MB
+
         overrides["lambda1"] = args.lambda1
-        overrides["lambda2"] = 1.0 - args.lambda1
+        # in decimal, so that 0.8 gives the default 0.2, not 0.19999999999999996
+        overrides["lambda2"] = float(Decimal(1) - Decimal(repr(args.lambda1)))
     return RunConfig.load(args.config, overrides)
 
 

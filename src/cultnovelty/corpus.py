@@ -1,7 +1,8 @@
-"""Document model, token distributions, and control variables.
+"""Document model, the pooled token distribution, and control variables.
 
-Documents hold lemmatized, POS-filtered token sequences; every divergence
-downstream operates on the sparse lemma->probability maps estimated here.
+Documents hold lemmatized, POS-filtered token sequences. Scoring works on
+the arrays that ``metrics.build_knowledge_space`` lays out from them; the
+sparse lemma->probability map here is the pooled aggregate it starts from.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ class Document:
     title: str
     body_tokens: tuple[AnnotatedToken, ...]
     country: str = "UNKNOWN"
-    product: str = "NONE"
     ingredients: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
@@ -102,13 +102,6 @@ class ControlVars:
     lexical_diversity: float
     new_ingredient_ratio: float
     length_ratio: float
-
-
-def doc_distribution(doc: Document) -> TokenDistribution:
-    """Estimate the word distribution of one document by relative frequency."""
-    if not doc.body_tokens:
-        raise EmptyDocument(f"document {doc.id} has no body tokens")
-    return TokenDistribution.from_counts(Counter(doc.lemmas))
 
 
 def aggregate_distribution(docs: Iterable[Document]) -> TokenDistribution:

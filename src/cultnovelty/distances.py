@@ -20,8 +20,6 @@ from .errors import ConflictingEntry, MissingCoordinates, ParseError, UnknownCou
 
 EARTH_RADIUS_KM = 6371.0
 
-MATRIX_KINDS = ("IW", "GEO", "LINGUISTIC", "RELIGIOUS")
-
 
 @dataclass(frozen=True)
 class CountryRecord:
@@ -149,12 +147,7 @@ def _pair_key(a: str, b: str) -> tuple[str, str]:
 class DistanceMatrix:
     """Symmetric sparse country-pair distance table."""
 
-    kind: str
     entries: Mapping[tuple[str, str], float]
-
-    def __post_init__(self) -> None:
-        if self.kind not in MATRIX_KINDS:
-            raise ValueError(f"unknown matrix kind {self.kind!r}")
 
     def get(self, a: str, b: str) -> Optional[float]:
         return self.entries.get(_pair_key(a, b))
@@ -163,9 +156,7 @@ class DistanceMatrix:
         return len(self.entries)
 
 
-def load_distance_matrix(
-    path: Union[str, Path], kind: str, registry: Registry
-) -> DistanceMatrix:
+def load_distance_matrix(path: Union[str, Path], registry: Registry) -> DistanceMatrix:
     """Load a CSV distance file with header iso_a,iso_b,distance.
 
     Duplicate unordered pairs with conflicting values and ISO codes absent
@@ -177,7 +168,7 @@ def load_distance_matrix(
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            return DistanceMatrix(kind=kind, entries={})
+            return DistanceMatrix(entries={})
         if [c.strip().lower() for c in header] != ["iso_a", "iso_b", "distance"]:
             raise ParseError(f"{path}: expected header iso_a,iso_b,distance, got {header}")
         for line_no, row in enumerate(reader, start=2):
@@ -203,7 +194,7 @@ def load_distance_matrix(
                     f"{path}:{line_no}: pair {key} already set to {entries[key]}, got {value}"
                 )
             entries[key] = value
-    return DistanceMatrix(kind=kind, entries=entries)
+    return DistanceMatrix(entries=entries)
 
 
 def compute_matrix(registry: Registry, kind: str) -> DistanceMatrix:
@@ -219,4 +210,4 @@ def compute_matrix(registry: Registry, kind: str) -> DistanceMatrix:
                 entries[_pair_key(a, b)] = fn(registry.get(a), registry.get(b))
             except MissingCoordinates:
                 continue
-    return DistanceMatrix(kind=kind, entries=entries)
+    return DistanceMatrix(entries=entries)

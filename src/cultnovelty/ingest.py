@@ -1,8 +1,9 @@
 """JSONL corpus ingestion.
 
-One document per line: {"id", "title", "country", "product",
-"ingredients": [...], "text": "..."} plus, when pre-annotated,
-"tokens": [{"lemma", "pos"}, ...]. Text is NFC-normalized; documents the
+One document per line: {"id", "title", "country", "ingredients": [...],
+"text": "..."} plus, when pre-annotated, "tokens": [{"lemma", "pos"}, ...].
+Other keys, such as "product", are ignored: dish matching decides which
+dish a record belongs to. Text is NFC-normalized; documents the
 POS filter empties are dropped with a warning rather than scored. Every
 line is checked, but only the records a caller picks are annotated, so at
 build time the dropped-after-filter warnings name dish-matched records only.
@@ -103,13 +104,7 @@ def _check_record(record: dict, doc_id: str, provider_name: str, where: str) -> 
     ingredients = record.get("ingredients", [])
     if not isinstance(ingredients, list):
         raise ParseError(f"{where}: ingredients must be a JSON array")
-    doc = Document(
-        id=doc_id,
-        title=title,
-        body_tokens=(),
-        country=country,
-        product=str(record.get("product", "NONE")) or "NONE",
-    )
+    doc = Document(id=doc_id, title=title, body_tokens=(), country=country)
     return _Line(doc, where, raw_text, entries, ingredients)
 
 

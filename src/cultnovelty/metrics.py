@@ -1,7 +1,7 @@
 """The five cultural-novelty metrics and their knowledge-space calibrations.
 
-A knowledge space is the document set of one (product, culture) pair with
-its cached aggregate distribution, PPMI matrix, and two leave-one-out
+A knowledge space is the document set of one (dish, origin) split with
+its aggregate distribution, PPMI matrix, and two leave-one-out
 thresholds. Variations are single documents scored against it:
 
 - newness: share of each lexicon whose divergence contribution exceeds the
@@ -17,13 +17,13 @@ thresholds. Variations are single documents scored against it:
 
 Array layout. ``build_knowledge_space`` calibrates each knowledge space
 once into ``KnowledgeArrays``: the sorted vocabulary as a lemma -> column
-index, the documents' probabilities as a dense n x V matrix, ``P_agg`` as
-a V-vector, and each document's halved probabilities (see below). The
-PPMI matrix carries its per-lemma rows, already L1-normalized
-(``ppmi.PpmiRow``). The leave-one-out newness threshold takes each fold's
-"rest" counts as the pooled counts minus the held-out row, a block of
-folds at a time; the pairwise difference threshold compares each document
-with all later ones in one block.
+index, the documents' probabilities as a dense n x V matrix, the pooled
+aggregate distribution as a V-vector, and each document's halved
+probabilities (see below). The PPMI matrix carries its per-lemma rows,
+already L1-normalized (``ppmi.PpmiRow``). The leave-one-out newness
+threshold takes each fold's "rest" counts as the pooled counts minus the
+held-out row, a block of folds at a time; the pairwise difference
+threshold compares each document with all later ones in one block.
 
 Bit-identity. Every divergence goes through ``divergence.per_word_terms``,
 which makes the same IEEE operations per word as the scalar formula, and
@@ -47,7 +47,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Document, TokenDistribution, aggregate_distribution
+from .corpus import Document, aggregate_distribution
 from .divergence import clamped_fsum, equal_weight_jsds, per_word_terms
 # jsd and jsd_decomposed stay reachable here: bench/tracer.py counts calls through these names
 from .divergence import jsd, jsd_decomposed  # noqa: F401
@@ -72,9 +72,9 @@ class _Comparison:
     columns: np.ndarray  # knowledge-space columns of the variation's known lemmas
     known: np.ndarray  # the variation's probabilities of those lemmas
     halves: list[float]  # 0.5 * each of the variation's probabilities
-    p: np.ndarray  # P_agg over the knowledge vocabulary, then 0 per unseen lemma
+    p: np.ndarray  # the aggregate over the knowledge vocabulary, then 0 per unseen lemma
     q: np.ndarray  # the variation over the same positions
-    terms: np.ndarray  # proportional-weight per-word terms of P_agg against q
+    terms: np.ndarray  # proportional-weight per-word terms of p against q
 
 
 @dataclass
@@ -88,7 +88,7 @@ class KnowledgeArrays:
     index: dict[str, int]
     doc_probs: np.ndarray
     doc_halves: tuple[list[float], ...]
-    agg: np.ndarray
+    agg: np.ndarray  # pooled count / pooled total of each vocabulary lemma
     agg_total: int
     last: Optional[_Comparison] = None
 
@@ -97,10 +97,7 @@ class KnowledgeArrays:
 class KnowledgeSpace:
     """Calibrated document set of one cultural product within one community."""
 
-    product: str
-    culture: str
     docs: tuple[Document, ...]
-    P_agg: TokenDistribution
     ppmi: PpmiMatrix
     epsilon_newness: float
     epsilon_difference: float
@@ -214,12 +211,7 @@ def calibrate_difference_threshold(docs: Sequence[Document]) -> float:
     return math.fsum(pair_values) / len(pair_values)
 
 
-def build_knowledge_space(
-    product: str,
-    culture: str,
-    docs: Iterable[Document],
-    window: int = DEFAULT_WINDOW,
-) -> KnowledgeSpace:
+def build_knowledge_space(docs: Iterable[Document], window: int = DEFAULT_WINDOW) -> KnowledgeSpace:
     """Assemble and calibrate a knowledge space from its documents."""
     ordered = tuple(sorted(docs, key=lambda d: d.id))
     _require_docs(ordered)
@@ -227,14 +219,11 @@ def build_knowledge_space(
         if not doc.body_tokens:
             raise EmptyDocument(f"knowledge document {doc.id} has no body tokens")
     ingredient_union = frozenset().union(*(d.ingredients for d in ordered))
-    P_agg = aggregate_distribution(ordered)
+    aggregate = aggregate_distribution(ordered)
     index, counts = _count_matrix(ordered)
     doc_probs = counts / counts.sum(axis=1, keepdims=True)
     return KnowledgeSpace(
-        product=product,
-        culture=culture,
         docs=ordered,
-        P_agg=P_agg,
         ppmi=build_ppmi(ordered, window=window),
         epsilon_newness=calibrate_newness_threshold(ordered),
         epsilon_difference=calibrate_difference_threshold(ordered),
@@ -244,8 +233,8 @@ def build_knowledge_space(
             index=index,
             doc_probs=doc_probs,
             doc_halves=_row_halves(doc_probs),
-            agg=np.array([P_agg.probs[lemma] for lemma in index]),
-            agg_total=P_agg.token_total,
+            agg=np.array([aggregate.probs[lemma] for lemma in index]),
+            agg_total=aggregate.token_total,
         ),
         window=window,
     )

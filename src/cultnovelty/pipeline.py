@@ -42,7 +42,7 @@ from .errors import (
     RankDeficient,
     UnknownCountry,
 )
-from .ingest import read_documents
+from .ingest import PROVIDERS, read_documents
 from .metrics import build_knowledge_space, score_all
 from .stats import kendall_tau, mediate, ols, pearson, rbo
 
@@ -98,9 +98,10 @@ class RunConfig:
             raise ValueError("n_boot must be >= 0")
         if self.seed < 0:  # numpy's SeedSequence takes no negative seed
             raise ValueError("seed must be >= 0")
-        if self.annotation_provider not in ("preannotated", "naive"):
+        if self.annotation_provider not in PROVIDERS:
             raise ValueError(
-                f"annotation_provider must be 'preannotated' or 'naive', not {self.annotation_provider!r}"
+                f"annotation_provider must be {' or '.join(map(repr, PROVIDERS))}, "
+                f"not {self.annotation_provider!r}"
             )
         for key in ("corpus_path", "dish_specs_path", "registry_path", "linguistic_path",
                     "religious_path", "output_dir"):
@@ -171,7 +172,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def derive_split_seed(master_seed: int, dish: str, origin: str) -> int:
-    """Stable per-(dish, origin) seed so parallel build order cannot matter."""
+    """Stable per-(dish, origin) seed: a split does not depend on the other splits of the run."""
     digest = hashlib.sha256(f"{master_seed}:{dish}:{origin}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
@@ -414,7 +415,7 @@ def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Pa
         except KeyError as exc:
             raise ParseError(f"{manifest_path}: unknown knowledge document id {exc}") from exc
         try:
-            kb = build_knowledge_space(product, origin, knowledge, window=config.pmi_window)
+            kb = build_knowledge_space(knowledge, window=config.pmi_window)
         except InsufficientKB as exc:
             raise ParseError(f"{manifest_path}: knowledge_ids: {exc}") from exc
 
@@ -472,11 +473,11 @@ def _read_scores(path: Path) -> list[dict]:
 
 
 def _attach_distances(rows: list[dict], registry: Registry, config: RunConfig) -> None:
-    matrices = {}
-    if config.linguistic_path:
-        matrices["linguistic"] = load_distance_matrix(config.linguistic_path, "LINGUISTIC", registry)
-    if config.religious_path:
-        matrices["religious"] = load_distance_matrix(config.religious_path, "RELIGIOUS", registry)
+    matrices = {
+        kind: load_distance_matrix(path, registry)
+        for kind, path in (("linguistic", config.linguistic_path), ("religious", config.religious_path))
+        if path
+    }
     for row in rows:
         a, b = row["kb_culture"], row["variation_culture"]
         row["iw"] = row["geo"] = row["linguistic"] = row["religious"] = None

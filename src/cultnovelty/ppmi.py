@@ -37,6 +37,7 @@ class PpmiRow(NamedTuple):
 class PpmiMatrix:
     """Sparse symmetric map of unordered lemma pairs to positive PMI bits.
 
+    Each pair is keyed once, as (a, b) with a <= b.
     vocab covers every lemma seen in the source documents, including
     lemmas that ended up with no positively associated pair; rows holds a
     row for each lemma that has one.
@@ -46,12 +47,6 @@ class PpmiMatrix:
     vocab: frozenset[str]
     pair_total: int
     rows: Mapping[str, PpmiRow] = field(repr=False, compare=False)
-
-    def value(self, a: str, b: str) -> float:
-        return self.pairs.get(_pair_key(a, b), 0.0)
-
-    def __contains__(self, pair: Pair) -> bool:
-        return _pair_key(*pair) in self.pairs
 
 
 def build_ppmi(docs: Union[Document, Iterable[Document]], window: int = 3) -> PpmiMatrix:

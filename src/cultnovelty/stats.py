@@ -89,6 +89,8 @@ def _t_p_value(t: float, df: int) -> float:
 def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Sample Pearson correlation with its two-sided t-test p-value."""
     xa, ya = _paired(x, y, min_n=3)
+    # r is scale-free: a power-of-two scale to at most 1 is exact and keeps the squares finite
+    xa, ya = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (xa, ya))
     xc = xa - xa.mean()
     yc = ya - ya.mean()
     sxx = float(xc @ xc)
@@ -111,10 +113,10 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     n = len(xa)
     concordant_minus_discordant = 0
     for i in range(n - 1):
-        dx = xa[i + 1 :] - xa[i]
-        dy = ya[i + 1 :] - ya[i]
-        sign_products = np.sign(dx) * np.sign(dy)
-        concordant_minus_discordant += int(np.sum(sign_products > 0) - np.sum(sign_products < 0))
+        # signs by comparison: the difference of two large values would overflow
+        sign_x = (xa[i + 1 :] > xa[i]).astype(int) - (xa[i + 1 :] < xa[i])
+        sign_y = (ya[i + 1 :] > ya[i]).astype(int) - (ya[i + 1 :] < ya[i])
+        concordant_minus_discordant += int(sign_x @ sign_y)
 
     def tie_counts(arr: np.ndarray) -> list[int]:
         _, counts = np.unique(arr, return_counts=True)
@@ -288,8 +290,9 @@ def _resample_counts(seed: int, n: int, n_boot: int) -> np.ndarray:
 
 
 def _standardize(v: np.ndarray) -> tuple[np.ndarray, float]:
-    scale = float(v.std()) or 1.0
-    z = (v - v.mean()) / scale
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        scale = float(v.std()) or 1.0
+        z = (v - v.mean()) / scale
     if not (np.isfinite(scale) and np.isfinite(z).all()):
         raise NumericOverflow("a series overflows float64 when standardized")
     return z, scale

@@ -206,10 +206,6 @@ class TestBuildSplit:
             self.split(corpus_for_split(1, 5), seed=1)
         assert (info.value.kb_size, info.value.variation_count) == (1, 5)
 
-    def test_stamps_product(self):
-        split = self.split(corpus_for_split(), seed=3)
-        assert all(d.product == "Couscous" for d in split.knowledge + split.variations)
-
     def test_override_redirects_country(self):
         dish = DishSpec.create("Curry", country_overrides={"indian curry": "GB"})
         docs = [

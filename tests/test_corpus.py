@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,7 +8,6 @@ from cultnovelty.corpus import (
     TokenDistribution,
     aggregate_distribution,
     control_variables,
-    doc_distribution,
 )
 from cultnovelty.errors import EmptyCorpus, EmptyDocument
 from cultnovelty.metrics import build_knowledge_space
@@ -47,27 +47,26 @@ class TestTokenDistribution:
         with pytest.raises(ValueError):
             TokenDistribution(probs={"a": 1.0}, token_total=0)
 
-
-class TestDocDistribution:
-    def test_counts(self):
-        d = doc_distribution(make_doc("d", ["a", "b", "a", "c"]))
+    def test_from_document_counts(self):
+        d = TokenDistribution.from_counts(Counter(make_doc("d", ["a", "b", "a", "c"]).lemmas))
         assert d.probs == {"a": 0.5, "b": 0.25, "c": 0.25}
         assert d.token_total == 4
 
-    def test_singleton(self):
-        d = doc_distribution(make_doc("d", ["x"]))
+    def test_from_counts_singleton(self):
+        d = TokenDistribution.from_counts({"x": 1})
         assert d.probs == {"x": 1.0}
         assert d.token_total == 1
 
-    def test_empty_document(self):
-        with pytest.raises(EmptyDocument):
-            doc_distribution(make_doc("d", []))
+    def test_from_counts_rejects_empty_counts(self):
+        for counts in ({}, {"a": 0}):
+            with pytest.raises(ValueError):
+                TokenDistribution.from_counts(counts)
 
-    def test_normalization_property(self):
+    def test_from_counts_normalization_property(self):
         rng = random.Random(11)
         for trial in range(50):
             lemmas = rng.choices("abcdefgh", k=rng.randint(1, 40))
-            d = doc_distribution(make_doc(f"d{trial}", lemmas))
+            d = TokenDistribution.from_counts(Counter(lemmas))
             assert abs(sum(d.probs.values()) - 1.0) <= 1e-9
             assert all(p > 0 for p in d.probs.values())
 
@@ -84,9 +83,9 @@ class TestAggregateDistribution:
         assert d.probs == {"a": 0.5, "b": 0.5}
         assert d.token_total == 4
 
-    def test_single_doc_degenerates_to_doc_distribution(self):
+    def test_single_doc_is_its_own_distribution(self):
         doc = make_doc("1", ["a", "b", "b"])
-        assert aggregate_distribution([doc]).probs == doc_distribution(doc).probs
+        assert aggregate_distribution([doc]).probs == TokenDistribution.from_counts(Counter(doc.lemmas)).probs
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
@@ -103,7 +102,8 @@ class TestAggregateDistribution:
             total = sum(len(d.body_tokens) for d in docs)
             for lemma in agg.probs:
                 weighted = sum(
-                    len(d.body_tokens) * doc_distribution(d).get(lemma) for d in docs
+                    len(d.body_tokens) * TokenDistribution.from_counts(Counter(d.lemmas)).get(lemma)
+                    for d in docs
                 )
                 assert agg.probs[lemma] == pytest.approx(weighted / total, abs=1e-12)
 
@@ -115,7 +115,7 @@ class TestControlVariables:
             make_doc("k1", ["a"] * 30 + ["b"] * 30, ingredients=frozenset({"salt", "flour"})),
             make_doc("k2", ["a"] * 30 + ["c"] * 30, ingredients=frozenset({"salt"})),
         ]
-        return build_knowledge_space("dish", "XX", docs)
+        return build_knowledge_space(docs)
 
     def test_new_ingredient_ratio(self, kb):
         var = make_doc("v", ["a", "b"], ingredients=frozenset({"salt", "mango"}))

@@ -5,7 +5,6 @@ import pytest
 
 from cultnovelty.distances import (
     CountryRecord,
-    DistanceMatrix,
     compute_matrix,
     geo_distance,
     iw_distance,
@@ -126,7 +125,7 @@ class TestDistanceMatrix:
     def test_load_and_symmetric_lookup(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("iso_a,iso_b,distance\nFR,DE,0.4\n")
-        matrix = load_distance_matrix(path, "LINGUISTIC", load_registry())
+        matrix = load_distance_matrix(path, load_registry())
         assert matrix.get("DE", "FR") == 0.4
         assert matrix.get("FR", "DE") == 0.4
 
@@ -134,18 +133,18 @@ class TestDistanceMatrix:
         path = tmp_path / "d.csv"
         path.write_text("iso_a,iso_b,distance\nFR,DE,0.4\nDE,FR,0.5\n")
         with pytest.raises(ConflictingEntry):
-            load_distance_matrix(path, "LINGUISTIC", load_registry())
+            load_distance_matrix(path, load_registry())
 
     def test_consistent_duplicate_tolerated(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("iso_a,iso_b,distance\nFR,DE,0.4\nDE,FR,0.4\n")
-        matrix = load_distance_matrix(path, "LINGUISTIC", load_registry())
+        matrix = load_distance_matrix(path, load_registry())
         assert len(matrix) == 1
 
     def test_empty_file_reports_missing_pair(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("iso_a,iso_b,distance\n")
-        matrix = load_distance_matrix(path, "RELIGIOUS", load_registry())
+        matrix = load_distance_matrix(path, load_registry())
         assert len(matrix) == 0
         assert matrix.get("FR", "DE") is None
 
@@ -153,23 +152,19 @@ class TestDistanceMatrix:
         path = tmp_path / "d.csv"
         path.write_text("iso_a,iso_b,distance\nFR,QQ,0.4\n")
         with pytest.raises(UnknownCountry):
-            load_distance_matrix(path, "LINGUISTIC", load_registry())
+            load_distance_matrix(path, load_registry())
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b,c\nFR,DE,0.4\n")
         with pytest.raises(ParseError):
-            load_distance_matrix(path, "LINGUISTIC", load_registry())
+            load_distance_matrix(path, load_registry())
 
     def test_nonzero_self_distance_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("iso_a,iso_b,distance\nFR,FR,0.2\n")
         with pytest.raises(ParseError):
-            load_distance_matrix(path, "LINGUISTIC", load_registry())
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            DistanceMatrix(kind="BAD", entries={})
+            load_distance_matrix(path, load_registry())
 
 
 class TestComputeMatrix:

@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from cultnovelty.corpus import doc_distribution
+from cultnovelty.corpus import TokenDistribution, aggregate_distribution
 from cultnovelty.errors import EmptyDocument, InsufficientKB
 from cultnovelty.metrics import (
     build_knowledge_space,
@@ -33,9 +34,7 @@ ABB = ["a", "b", "b"]
 
 
 def kb_two(lemmas1=AAB, lemmas2=ABB, **kwargs):
-    return build_knowledge_space(
-        "dish", "XX", [make_doc("k1", lemmas1), make_doc("k2", lemmas2)], **kwargs
-    )
+    return build_knowledge_space([make_doc("k1", lemmas1), make_doc("k2", lemmas2)], **kwargs)
 
 
 def random_kb_and_variation(rng, vocab="abcdefgh", novel="xyz"):
@@ -43,7 +42,7 @@ def random_kb_and_variation(rng, vocab="abcdefgh", novel="xyz"):
         make_doc(f"k{i}", rng.choices(vocab, k=rng.randint(3, 25)))
         for i in range(rng.randint(2, 5))
     ]
-    kb = build_knowledge_space("dish", "XX", docs)
+    kb = build_knowledge_space(docs)
     var = make_doc("v", rng.choices(vocab + novel, k=rng.randint(2, 25)))
     return kb, var
 
@@ -140,16 +139,16 @@ class TestDifferenceThreshold:
 
 class TestDifference:
     def test_identical_everything_zero(self):
-        kb = build_knowledge_space("d", "XX", [make_doc("1", AAB), make_doc("2", AAB)])
+        kb = build_knowledge_space([make_doc("1", AAB), make_doc("2", AAB)])
         assert difference(kb, make_doc("v", AAB)) == 0.0
 
     def test_disjoint_variation_full(self):
-        kb = build_knowledge_space("d", "XX", [make_doc("1", AAB), make_doc("2", AAB)])
+        kb = build_knowledge_space([make_doc("1", AAB), make_doc("2", AAB)])
         assert difference(kb, make_doc("v", ["z", "z"])) == 1.0
 
     def test_three_doc_fixture_oracle(self):
         docs = [make_doc("1", AAB), make_doc("2", ABB), make_doc("3", ["a", "b"])]
-        kb = build_knowledge_space("d", "XX", docs)
+        kb = build_knowledge_space(docs)
         assert difference(kb, make_doc("v", ["a", "c"])) == pytest.approx(
             oracle_difference([AAB, ABB, ["a", "b"]], ["a", "c"]), abs=1e-12
         )
@@ -252,9 +251,7 @@ class TestScoreAll:
 
     def test_uniform_duplication_leaves_distribution_metrics_unchanged(self):
         kb = kb_two()
-        kb2 = build_knowledge_space(
-            "dish", "XX", [make_doc("k1", AAB * 3), make_doc("k2", ABB * 3)]
-        )
+        kb2 = build_knowledge_space([make_doc("k1", AAB * 3), make_doc("k2", ABB * 3)])
         var = make_doc("v", ["a", "c"])
         var2 = make_doc("v", ["a", "c"] * 3)
         assert uniqueness(kb, var) == pytest.approx(uniqueness(kb2, var2), abs=1e-12)
@@ -269,18 +266,19 @@ class TestScoreAll:
         for _ in range(30):
             kb, var = random_kb_and_variation(rng)
             value = uniqueness(kb, var)
-            same = doc_distribution(var).probs == dict(kb.P_agg.probs)
+            aggregate = dict(zip(kb.arrays.index, kb.arrays.agg.tolist()))
+            same = TokenDistribution.from_counts(Counter(var.lemmas)).probs == aggregate
             assert (value == 0.0) == same
 
 
 class TestKnowledgeSpace:
     def test_requires_two_docs(self):
         with pytest.raises(InsufficientKB):
-            build_knowledge_space("d", "XX", [make_doc("1", AAB)])
+            build_knowledge_space([make_doc("1", AAB)])
 
     def test_cached_fields_recomputable(self):
         docs = [make_doc("1", AAB), make_doc("2", ABB), make_doc("3", ["a", "b"])]
-        kb = build_knowledge_space("d", "XX", docs)
+        kb = build_knowledge_space(docs)
         assert kb.epsilon_difference == pytest.approx(
             calibrate_difference_threshold(kb.docs), abs=1e-12
         )
@@ -294,9 +292,18 @@ class TestKnowledgeSpace:
             make_doc("1", AAB, ingredients=frozenset({"salt"})),
             make_doc("2", ABB, ingredients=frozenset({"flour", "salt"})),
         ]
-        kb = build_knowledge_space("d", "XX", docs)
+        kb = build_knowledge_space(docs)
         assert kb.ingredient_union == {"salt", "flour"}
 
+    def test_arrays_hold_the_pooled_aggregate(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            kb, _ = random_kb_and_variation(rng)
+            pooled = aggregate_distribution(kb.docs)
+            assert list(kb.arrays.index) == sorted(pooled.probs)
+            assert kb.arrays.agg.tolist() == [pooled.probs[w] for w in kb.arrays.index]
+            assert kb.arrays.agg_total == pooled.token_total == sum(len(d.lemmas) for d in kb.docs)
+
     def test_docs_sorted_by_id(self):
-        kb = build_knowledge_space("d", "XX", [make_doc("b", AAB), make_doc("a", ABB)])
+        kb = build_knowledge_space([make_doc("b", AAB), make_doc("a", ABB)])
         assert [d.id for d in kb.docs] == ["a", "b"]

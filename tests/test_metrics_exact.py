@@ -66,7 +66,7 @@ def tied_cases(draw):
 
 
 def kb_of(docs):
-    return build_knowledge_space("dish", "XX", [make_doc(f"k{i}", d) for i, d in enumerate(docs)])
+    return build_knowledge_space([make_doc(f"k{i}", d) for i, d in enumerate(docs)])
 
 
 def assert_equals_scalar(docs, variation):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from cultnovelty import ingest
 from cultnovelty.annotation import filter_stream
 from cultnovelty.builder import load_dish_specs, matched_documents
-from cultnovelty.cli import main
+from cultnovelty.cli import _config_from_args, build_parser, main
 from cultnovelty.distances import load_registry
 from cultnovelty.pipeline import (
     SCORE_COLUMNS,
@@ -630,6 +631,42 @@ class TestCli:
         assert f"{dishes}: dish entry 0: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "field",
+        [{"name": ""}, {"aliases": ["couscous", " "]}, {"excluded": [""]},
+         {"country_overrides": {"\t": "MA"}}],
+        ids=["name", "aliases", "excluded", "country_overrides"],
+    )
+    def test_blank_dish_string_exits_two(self, tmp_path, capsys, field):
+        dishes = tmp_path / "dishes.json"
+        dishes.write_text(json.dumps([{"name": "Paella"}, {"name": "Couscous", **field}]))
+        code = main(["build", "--corpus", CORPUS, "--dishes", str(dishes),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        key = next(iter(field))
+        assert f"{dishes}: dish entry 1: {key} holds an empty or blank string" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_config_field_but_lambda2_has_a_flag(self):
+        args = build_parser().parse_args(["build"])
+        assert {f.name for f in fields(RunConfig)} - set(vars(args)) == {"lambda2"}
+        assert _config_from_args(args) == RunConfig()
+
+    @pytest.mark.parametrize("lambda1,lambda2", [("0.8", 0.2), ("0.7", 0.3), ("0.1", 0.9), ("1", 0.0)])
+    def test_lambda2_is_the_decimal_complement(self, lambda1, lambda2):
+        # in binary, 1 - 0.8 is 0.19999999999999996 and 1 - 0.7 is 0.30000000000000004
+        config = _config_from_args(build_parser().parse_args(["score", "--lambda1", lambda1]))
+        assert (config.lambda1, config.lambda2) == (float(lambda1), lambda2)
+
+    def test_explicit_default_lambda1_keeps_scores_byte_identical(self, tmp_path, capsys):
+        base = ["--corpus", CORPUS, "--output-dir", str(tmp_path / "out"), "--seed", "17"]
+        assert main(["build", "--dishes", DISHES] + base) == 0
+        scores = []
+        for extra in ([], ["--lambda1", "0.8"]):
+            assert main(["score"] + base + extra) == 0
+            scores.append((tmp_path / "out" / "scores.csv").read_bytes())
+        assert scores[0] == scores[1]
+
     def test_override_country_that_cannot_name_a_file_exits_two(self, tmp_path, capsys):
         dishes = tmp_path / "dishes.json"
         dishes.write_text(json.dumps([{"name": "Couscous", "country_overrides": {"couscous": "a/b"}}]))
@@ -879,10 +916,22 @@ class TestBadScoreInputs:
         assert f"{scores}:5: repeated row for {'/'.join(rows[3][:3])}" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # importing scipy.stats costs 0.5-1.1 s and scipy.special about 0.4 s, which
-    # every CLI stage process would pay; only analyze's statistics need scipy.special
-    code = "import cultnovelty.cli, sys; assert not {'scipy.stats', 'scipy.special'} & set(sys.modules)"
+def run_fresh_interpreter(code):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats costs 0.5-1.1 s and scipy.special about 0.4 s, which
+    # every CLI stage process would pay; only analyze's statistics need scipy.special
+    run_fresh_interpreter(
+        "import cultnovelty.cli, sys; assert not {'scipy.stats', 'scipy.special'} & set(sys.modules)")
+
+
+def test_non_numeric_modules_load_without_numpy():
+    # importing numpy costs about 0.13 s, and build and report need none of it
+    run_fresh_interpreter(
+        "import sys, cultnovelty.annotation, cultnovelty.builder, cultnovelty.corpus, "
+        "cultnovelty.distances, cultnovelty.errors, cultnovelty.ingest; "
+        "assert 'numpy' not in sys.modules")

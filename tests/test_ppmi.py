@@ -33,14 +33,14 @@ class TestBuildPpmi:
         assert ("b", "c") not in pooled.pairs
         assert ("a", "b") in pooled.pairs
 
-    def test_symmetric_lookup(self):
-        m = build_ppmi(make_doc("d", ["a", "b"]))
-        assert m.value("a", "b") == m.value("b", "a") == 2.0
-        assert ("b", "a") in m and ("a", "b") in m
+    def test_pairs_keyed_once_in_sorted_order(self):
+        assert build_ppmi(make_doc("d", ["b", "a"])).pairs == {("a", "b"): 2.0}
+        m = build_ppmi(make_doc("d", ["c", "a", "b", "c"]))
+        assert all(a <= b for a, b in m.pairs)
 
-    def test_absent_pair_is_zero(self):
+    def test_absent_pair_has_no_entry(self):
         m = build_ppmi(make_doc("d", ["a", "b"]))
-        assert m.value("a", "z") == 0.0
+        assert ("a", "z") not in m.pairs and ("z", "a") not in m.pairs
 
     def test_negative_pmi_dropped(self):
         # (a, a) and (b, b) co-occur less often than independence predicts
@@ -63,7 +63,8 @@ class TestBuildPpmi:
 
     def test_row(self):
         m = build_ppmi(make_doc("d", ["a", "b", "c"]), window=3)
-        assert {w for w in m.vocab if m.value("a", w) > 0.0} == {"b", "c"}
+        assert {w for w in m.vocab if m.pairs.get(("a", w), 0.0) > 0.0} == {"b", "c"}
+        assert set(m.rows["a"].probs) == {"b", "c"}
 
     def test_matches_oracle_randomized(self):
         rng = random.Random(19)

@@ -1,3 +1,4 @@
+import math
 import random
 from functools import partial
 
@@ -59,6 +60,30 @@ class TestPearson:
         with pytest.raises(ConstantSeries):
             pearson([1, 1, 1], [1, 2, 3])
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["squares_overflow", "squares_underflow"])
+    def test_extreme_scales_match_the_unscaled_series(self, scale):
+        x = [1.0, -1.0, 3.0, 0.5]
+        y = [1.0, 2.0, 3.0, 4.0]
+        scaled = [v * scale for v in x]
+        want = pearson(x, y)
+        assert pearson(scaled, y) == pytest.approx(want, rel=1e-12)
+        assert pearson(y, scaled) == pytest.approx(want, rel=1e-12)
+        assert pearson(scaled, scaled)[0] == 1.0
+
+    def test_overflowing_squares_do_not_force_a_perfect_correlation(self):
+        r, p = pearson([1e200, -1e200, 3e200, 0.5], [1, 2, 3, 4])
+        want_r, want_p = pearson([1.0, -1.0, 3.0, 0.0], [1, 2, 3, 4])
+        assert r == pytest.approx(want_r, rel=1e-12)
+        assert r == pytest.approx(0.0756, abs=1e-4)
+        assert p == pytest.approx(want_p, rel=1e-12)
+
+    def test_power_of_two_scale_keeps_every_bit(self):
+        rng = random.Random(12)
+        x = [rng.gauss(0, 1) for _ in range(15)]
+        y = [rng.gauss(0, 1) for _ in range(15)]
+        for k in (-600, -3, 5, 600):
+            assert pearson([math.ldexp(v, k) for v in x], y) == pearson(x, y)
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             pearson([1, 2], [1, 2, 3])
@@ -97,6 +122,13 @@ class TestKendallTau:
     def test_symmetry(self):
         x, y = [1, 4, 2, 2, 5], [2, 2, 3, 1, 4]
         assert kendall_tau(x, y) == kendall_tau(y, x)
+
+    def test_values_whose_differences_overflow_rank_like_small_ones(self):
+        huge = [1e308, -1e308, 0.0, 5e307, 1e308]
+        same_order = [4.0, -4.0, 0.0, 3.0, 4.0]
+        y = [1, 2, 3, 3, 5]
+        assert kendall_tau(huge, y) == kendall_tau(same_order, y)
+        assert kendall_tau(y, huge) == kendall_tau(y, same_order)
 
 
 class TestRbo:
