@@ -461,6 +461,45 @@ class TestAnalyze:
         table = read_csv(out / "regressions.csv")
         assert len(table) == 1  # header only
 
+    def test_distances_covering_some_rows(self, tmp_path, caplog):
+        # one Moroccan split of 12 variations: linguistic covers the 5 from JP and IT,
+        # religious the 2 from MX, and iw and geo all 12
+        out = tmp_path / "out"
+        out.mkdir(parents=True)
+        cultures = ["JP"] * 3 + ["IT"] * 2 + ["MX"] * 2 + ["GR"] * 5
+        values = np.random.default_rng(0).uniform(0.0, 1.0, (len(cultures), 10))
+        lines = [",".join(SCORE_COLUMNS)] + [
+            f"Dish,MA,v{i:02d},{culture}," + ",".join(fmt_float(v) for v in values[i])
+            for i, culture in enumerate(cultures)
+        ]
+        (out / "scores.csv").write_text("\n".join(lines) + "\n")
+        linguistic = tmp_path / "linguistic.csv"
+        linguistic.write_text("iso_a,iso_b,distance\nMA,JP,0.4\nIT,MA,0.7\n")
+        religious = tmp_path / "religious.csv"
+        religious.write_text("iso_a,iso_b,distance\nMA,MX,0.3\n")
+        config = config_for(tmp_path, linguistic_path=str(linguistic), religious_path=str(religious))
+        with caplog.at_level(logging.WARNING, logger="cultnovelty.pipeline"):
+            cmd_analyze(config)
+        lacking = {m for m in caplog.messages if "rows lack" in m}
+        assert lacking == {"analyze: 7/12 rows lack a linguistic distance",
+                           "analyze: 10/12 rows lack a religious distance"}
+
+        correlations = read_csv(out / "correlations_distances.csv")[1:]
+        assert [row[:3] for row in correlations] == [
+            [kind, metric, n]
+            for kind, n in (("iw", "12"), ("geo", "12"), ("linguistic", "5"), ("religious", "2"))
+            for metric in ("newness", "uniqueness", "difference", "new_surprise", "divergent_surprise")
+        ]
+        assert all(row[3] and row[4] for row in correlations if row[0] != "religious")
+        assert all(row[3:] == ["", ""] for row in correlations if row[0] == "religious")
+        marginal = read_csv(out / "marginal.csv")[1:]
+        assert [row[2] for row in marginal if row[0] == "linguistic"] == ["5"] * 5
+        assert {row[0] for row in marginal} == {"iw", "geo", "linguistic"}
+        regressions = read_csv(out / "regressions.csv")[1:]
+        assert [(row[0], row[1]) for row in regressions] == [("iw", "12")] * 9 + [("geo", "12")] * 9
+        mediation = read_csv(out / "mediation.csv")[1:]
+        assert {row[0] for row in mediation} == {"iw", "geo"}
+
 
 class TestDeterminism:
     def test_full_pipeline_byte_identical_across_reruns(self, tmp_path):
