@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: build, score, analyze, distances, report. Every config field
-can come from a JSON config file (--config) or a flag; flags win.
+can come from a JSON config file (--config), and every one but lambda2,
+which follows --lambda1, from a flag; flags win.
 Exit codes: 0 success, 1 usage, 2 input error, 3 internal failure.
 """
 

@@ -38,6 +38,9 @@ class CountryRecord:
             raise ValueError(f"{self.iso}: latitude {self.capital_lat} out of range")
         if self.capital_lon is not None and not -180.0 <= self.capital_lon <= 180.0:
             raise ValueError(f"{self.iso}: longitude {self.capital_lon} out of range")
+        for value in (self.iw_traditional, self.iw_survival):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{self.iso}: cultural-map coordinate {value} is not finite")
 
     @property
     def surfaces(self) -> frozenset[str]:
@@ -182,10 +185,10 @@ def load_distance_matrix(path: Union[str, Path], registry: Registry) -> Distance
                     raise UnknownCountry(f"{path}:{line_no}: unknown ISO code {iso!r}")
             try:
                 value = float(row[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{line_no}: bad distance {row[2]!r}") from exc
-            if value < 0.0:
-                raise ParseError(f"{path}:{line_no}: negative distance {value}")
+            except ValueError:
+                value = math.nan
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ParseError(f"{path}:{line_no}: bad distance {row[2]!r} (need finite, >= 0)")
             if iso_a == iso_b and value != 0.0:
                 raise ParseError(f"{path}:{line_no}: nonzero self-distance for {iso_a}")
             key = _pair_key(iso_a, iso_b)

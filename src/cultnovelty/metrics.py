@@ -1,8 +1,9 @@
 """The five cultural-novelty metrics and their knowledge-space calibrations.
 
 A knowledge space is the document set of one (dish, origin) split with
-its aggregate distribution, PPMI matrix, and two leave-one-out
-thresholds. Variations are single documents scored against it:
+its aggregate distribution, PPMI matrix, and two thresholds: the
+leave-one-out newness threshold and the mean pairwise JSD behind
+difference. Variations are single documents scored against it:
 
 - newness: share of each lexicon whose divergence contribution exceeds the
   within-community threshold (appearance on the variation side,

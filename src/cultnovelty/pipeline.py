@@ -61,6 +61,20 @@ CONTROL_COLUMNS = ("lexical_diversity", "new_ingredient_ratio", "length_ratio")
 SCORE_COLUMNS = ("product", "kb_culture", "variation_id", "variation_culture") + METRIC_COLUMNS + CONTROL_COLUMNS
 FIVE_METRICS = ("newness", "uniqueness", "difference", "new_surprise", "divergent_surprise")
 DISTANCE_KINDS = ("iw", "geo", "linguistic", "religious")
+# the analyze stage's tables with their headers, in the order they are written
+ANALYZE_TABLES = {
+    "correlations_metrics.csv": (
+        "metric_a", "metric_b", "pearson_r", "pearson_p", "kendall_tau", "kendall_p", "rbo",
+    ),
+    "correlations_distances.csv": ("distance", "metric", "n", "pearson_r", "pearson_p"),
+    "regressions.csv": ("distance", "n", "r_squared", "term", "coef", "std_err", "t", "p"),
+    "marginal.csv": ("distance", "metric", "n", "r_squared", "coef", "p"),
+    "mediation.csv": (
+        "distance", "metric", "mediator", "n", "total_effect", "acme", "ade",
+        "acme_ci_low", "acme_ci_high", "ade_ci_low", "ade_ci_high",
+        "total_ci_low", "total_ci_high", "acme_p", "ade_p", "total_p",
+    ),
+}
 
 MIN_MEDIATION_ROWS = 10
 
@@ -450,8 +464,9 @@ def _read_scores(path: Path) -> list[dict]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != SCORE_COLUMNS:
             raise ParseError(f"{path}: unexpected scores header {reader.fieldnames}")
-        for raw in reader:
-            row = dict(raw)
+        for row in reader:
+            if None in row:  # DictReader files the cells past the header under None
+                raise ParseError(f"{path}:{reader.line_num}: more cells than the header")
             for col in METRIC_COLUMNS + CONTROL_COLUMNS:
                 if row[col] is None:
                     raise ParseError(f"{path}:{reader.line_num}: {col} is missing")
@@ -485,14 +500,11 @@ def _attach_distances(rows: list[dict], registry: Registry, config: RunConfig) -
             rec_a, rec_b = registry.get(a), registry.get(b)
         except UnknownCountry:
             continue
-        try:
-            row["iw"] = iw_distance(rec_a, rec_b)
-        except MissingCoordinates:
-            pass
-        try:
-            row["geo"] = geo_distance(rec_a, rec_b)
-        except MissingCoordinates:
-            pass
+        for kind, distance in (("iw", iw_distance), ("geo", geo_distance)):
+            try:
+                row[kind] = distance(rec_a, rec_b)
+            except MissingCoordinates:
+                pass
         for kind, matrix in matrices.items():
             row[kind] = matrix.get(a, b)
 
@@ -506,143 +518,114 @@ def _metric_correlations(rows: list[dict], config: RunConfig) -> list[list[str]]
     groups: dict[tuple[str, str], list[dict]] = {}
     for row in rows:
         groups.setdefault((row["product"], row["kb_culture"]), []).append(row)
-    split_rows = [g for _, g in sorted(groups.items()) if len(g) >= 3]
+    # each split of 3 or more variations: its size, and each metric's values and ranking
+    splits = [
+        (len(group), {m: ([r[m] for r in group], _ranking(group, m)) for m in FIVE_METRICS})
+        for _, group in sorted(groups.items())
+        if len(group) >= 3
+    ]
 
     out = []
     for i, metric_a in enumerate(FIVE_METRICS):
         for metric_b in FIVE_METRICS[i + 1 :]:
-            xs = [r[metric_a] for r in rows]
-            ys = [r[metric_b] for r in rows]
             try:
-                r_val, r_p = pearson(xs, ys)
+                r_val, r_p = pearson([r[metric_a] for r in rows], [r[metric_b] for r in rows])
                 pearson_cells = [fmt_float(r_val), fmt_float(r_p)]
             except (ConstantSeries, InsufficientObservations):
                 pearson_cells = ["", ""]
             taus, tau_ps, rbos, weights = [], [], [], []
-            for group in split_rows:
-                gx = [r[metric_a] for r in group]
-                gy = [r[metric_b] for r in group]
+            for size, by_metric in splits:
+                (xs, ranks_a), (ys, ranks_b) = by_metric[metric_a], by_metric[metric_b]
                 try:
-                    tau, tau_p = kendall_tau(gx, gy)
+                    tau, tau_p = kendall_tau(xs, ys)
                 except (AllTied, InsufficientObservations):
                     continue
                 taus.append(tau)
                 tau_ps.append(tau_p)
-                rbos.append(rbo(_ranking(group, metric_a), _ranking(group, metric_b), config.rbo_p))
-                weights.append(len(group))
+                rbos.append(rbo(ranks_a, ranks_b, config.rbo_p))
+                weights.append(size)
+            split_cells = ["", "", ""]  # kendall_tau, kendall_p and rbo: means weighted by size
             if weights:
                 w = sum(weights)
-                kendall_cells = [
-                    fmt_float(sum(t * g for t, g in zip(taus, weights)) / w),
-                    fmt_float(sum(p * g for p, g in zip(tau_ps, weights)) / w),
-                ]
-                rbo_cell = fmt_float(sum(v * g for v, g in zip(rbos, weights)) / w)
-            else:
-                kendall_cells = ["", ""]
-                rbo_cell = ""
-            out.append([metric_a, metric_b] + pearson_cells + kendall_cells + [rbo_cell])
+                split_cells = [fmt_float(sum(v * g for v, g in zip(values, weights)) / w)
+                               for values in (taus, tau_ps, rbos)]
+            out.append([metric_a, metric_b] + pearson_cells + split_cells)
     return out
 
 
-def _distance_correlations(rows: list[dict]) -> list[list[str]]:
-    out = []
-    for kind in DISTANCE_KINDS:
-        subset = [r for r in rows if r[kind] is not None]
-        for metric in FIVE_METRICS:
-            if len(subset) < 3:
-                out.append([kind, metric, str(len(subset)), "", ""])
-                continue
-            try:
-                r_val, p_val = pearson([r[metric] for r in subset], [r[kind] for r in subset])
-                out.append([kind, metric, str(len(subset)), fmt_float(r_val), fmt_float(p_val)])
-            except ConstantSeries:
-                out.append([kind, metric, str(len(subset)), "", ""])
-    return out
+def _distance_tables(rows: list[dict], config: RunConfig) -> tuple[list[list[str]], ...]:
+    """The distance correlation, regression, marginal and mediation tables.
 
-
-def _regression_tables(rows: list[dict]) -> tuple[list[list[str]], list[list[str]]]:
-    full_rows: list[list[str]] = []
-    marginal_rows: list[list[str]] = []
+    Each distance kind is one pass over the rows that carry it; each table
+    lists its rows by kind, in DISTANCE_KINDS order.
+    """
+    correlations: list[list[str]] = []
+    regressions: list[list[str]] = []
+    marginal: list[list[str]] = []
+    mediation: list[list[str]] = []
     terms = ("const",) + FIVE_METRICS + CONTROL_COLUMNS
     for kind in DISTANCE_KINDS:
         subset = [r for r in rows if r[kind] is not None]
+        n = len(subset)
+        if n < len(rows):
+            log.warning("analyze: %d/%d rows lack a %s distance", len(rows) - n, len(rows), kind)
+        y = [r[kind] for r in subset]
+        columns = {col: [r[col] for r in subset] for col in terms[1:]}
+
+        for metric in FIVE_METRICS:
+            cells = ["", ""]
+            if n >= 3:
+                try:
+                    cells = [fmt_float(v) for v in pearson(columns[metric], y)]
+                except ConstantSeries:
+                    pass
+            correlations.append([kind, metric, str(n)] + cells)
+
         if not subset:
             log.warning("analyze: no rows carry a %s distance; regression skipped", kind)
             continue
-        y = [r[kind] for r in subset]
-        design = np.column_stack(
-            [np.ones(len(subset))]
-            + [[r[m] for r in subset] for m in FIVE_METRICS]
-            + [[r[c] for r in subset] for c in CONTROL_COLUMNS]
-        )
+        design = np.column_stack([np.ones(n)] + [columns[col] for col in terms[1:]])
         try:
             full = ols(design, y, names=terms)
         except (RankDeficient, InsufficientObservations) as exc:
             log.warning("analyze: full %s regression skipped (%s)", kind, exc)
         else:
-            for term in terms:
-                full_rows.append(
-                    [
-                        kind,
-                        str(full.n_obs),
-                        fmt_float(full.r_squared),
-                        term,
-                        fmt_float(full.coefficients[term]),
-                        fmt_float(full.std_errors[term]),
-                        fmt_float(full.t_stats[term]),
-                        fmt_float(full.p_values[term]),
-                    ]
-                )
+            per_term = (full.coefficients, full.std_errors, full.t_stats, full.p_values)
+            regressions.extend(
+                [kind, str(full.n_obs), fmt_float(full.r_squared), term]
+                + [fmt_float(column[term]) for column in per_term]
+                for term in terms
+            )
         for metric in FIVE_METRICS:
-            single = np.column_stack([np.ones(len(subset)), [r[metric] for r in subset]])
+            single = np.column_stack([np.ones(n), columns[metric]])
             try:
                 result = ols(single, y, names=("const", metric))
             except (RankDeficient, InsufficientObservations) as exc:
                 log.warning("analyze: marginal %s ~ %s skipped (%s)", kind, metric, exc)
                 continue
-            marginal_rows.append(
-                [
-                    kind,
-                    metric,
-                    str(result.n_obs),
-                    fmt_float(result.r_squared),
-                    fmt_float(result.coefficients[metric]),
-                    fmt_float(result.p_values[metric]),
-                ]
-            )
-    return full_rows, marginal_rows
+            values = (result.r_squared, result.coefficients[metric], result.p_values[metric])
+            marginal.append([kind, metric, str(result.n_obs)] + [fmt_float(v) for v in values])
 
-
-def _mediation_table(rows: list[dict], config: RunConfig) -> list[list[str]]:
-    out: list[list[str]] = []
-    for kind in DISTANCE_KINDS:
-        subset = [r for r in rows if r[kind] is not None]
-        if len(subset) < MIN_MEDIATION_ROWS:
+        if n < MIN_MEDIATION_ROWS:
             continue
-        y = [r[kind] for r in subset]
         for metric in FIVE_METRICS:
-            t_series = [r[metric] for r in subset]
             for mediator in CONTROL_COLUMNS:
-                m_series = [r[mediator] for r in subset]
                 try:
-                    result = mediate(t_series, m_series, y, n_boot=config.n_boot, seed=config.seed)
+                    result = mediate(columns[metric], columns[mediator], y,
+                                     n_boot=config.n_boot, seed=config.seed)
                 except CultNoveltyError as exc:
                     log.warning(
                         "analyze: mediation %s/%s/%s skipped (%s)", kind, metric, mediator, exc
                     )
                     continue
-                cells = [
-                    kind, metric, mediator, str(len(subset)),
-                    fmt_float(result.total_effect),
-                    fmt_float(result.acme),
-                    fmt_float(result.ade),
-                ]
+                cells = [kind, metric, mediator, str(n)]
+                cells += [fmt_float(v) for v in (result.total_effect, result.acme, result.ade)]
                 for ci in (result.acme_ci, result.ade_ci, result.total_ci):
-                    cells.extend(["", ""] if ci is None else [fmt_float(ci[0]), fmt_float(ci[1])])
+                    cells += ["", ""] if ci is None else [fmt_float(ci[0]), fmt_float(ci[1])]
                 for p in (result.acme_p, result.ade_p, result.total_p):
                     cells.append("" if p is None else fmt_float(p))
-                out.append(cells)
-    return out
+                mediation.append(cells)
+    return correlations, regressions, marginal, mediation
 
 
 def cmd_analyze(config: RunConfig, scores_path: Optional[Union[str, Path]] = None) -> dict:
@@ -655,47 +638,12 @@ def cmd_analyze(config: RunConfig, scores_path: Optional[Union[str, Path]] = Non
     registry = load_registry(config.registry_path)
     _attach_distances(rows, registry, config)
 
-    dropped = {
-        kind: sum(1 for r in rows if r[kind] is None) for kind in DISTANCE_KINDS
-    }
-    for kind, count in sorted(dropped.items()):
-        if count:
-            log.warning("analyze: %d/%d rows lack a %s distance", count, len(rows), kind)
-
     out_dir.mkdir(parents=True, exist_ok=True)
-    metric_corr = _metric_correlations(rows, config) if rows else []
-    distance_corr = _distance_correlations(rows) if rows else []
-    full_rows, marginal_rows = _regression_tables(rows) if rows else ([], [])
-    mediation_rows = _mediation_table(rows, config) if rows else []
-
-    outputs = {
-        "correlations_metrics.csv": (
-            ("metric_a", "metric_b", "pearson_r", "pearson_p", "kendall_tau", "kendall_p", "rbo"),
-            metric_corr,
-        ),
-        "correlations_distances.csv": (
-            ("distance", "metric", "n", "pearson_r", "pearson_p"),
-            distance_corr,
-        ),
-        "regressions.csv": (
-            ("distance", "n", "r_squared", "term", "coef", "std_err", "t", "p"),
-            full_rows,
-        ),
-        "marginal.csv": (
-            ("distance", "metric", "n", "r_squared", "coef", "p"),
-            marginal_rows,
-        ),
-        "mediation.csv": (
-            (
-                "distance", "metric", "mediator", "n", "total_effect", "acme", "ade",
-                "acme_ci_low", "acme_ci_high", "ade_ci_low", "ade_ci_high",
-                "total_ci_low", "total_ci_high", "acme_p", "ade_p", "total_p",
-            ),
-            mediation_rows,
-        ),
-    }
+    tables = [[]] * len(ANALYZE_TABLES)
+    if rows:
+        tables = [_metric_correlations(rows, config), *_distance_tables(rows, config)]
     written = []
-    for name, (header, table) in outputs.items():
+    for (name, header), table in zip(ANALYZE_TABLES.items(), tables):
         path = out_dir / name
         _write_csv(path, header, table)
         written.append(str(path))
@@ -737,16 +685,8 @@ def cmd_report(config: RunConfig, analyze_dir: Optional[Union[str, Path]] = None
     source = Path(analyze_dir) if analyze_dir else Path(config.output_dir)
     bundle_dir = Path(config.output_dir) / "bundle"
     bundle_dir.mkdir(parents=True, exist_ok=True)
-    names = [
-        "correlations_metrics.csv",
-        "correlations_distances.csv",
-        "regressions.csv",
-        "marginal.csv",
-        "mediation.csv",
-        "run_manifest.json",
-    ]
     index = {}
-    for name in names:
+    for name in [*ANALYZE_TABLES, "run_manifest.json"]:
         src = source / name
         if not src.exists():
             raise ParseError(f"report: expected {src} (run analyze first)")

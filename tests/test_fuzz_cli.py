@@ -105,14 +105,15 @@ with GOLDEN_SCORES.open(newline="", encoding="utf-8") as _fh:
     _SCORES = list(csv.reader(_fh))
 
 
+# a column one past the header's last appends an extra cell
 @FUZZ
-@given(st.lists(st.tuples(st.integers(0, len(_SCORES) - 1), st.integers(0, len(_SCORES[0]) - 1),
+@given(st.lists(st.tuples(st.integers(0, len(_SCORES) - 1), st.integers(0, len(_SCORES[0])),
                           numbers | st.text(max_size=8)),
                 min_size=1, max_size=3))
 def test_scores_cells(edits):
     rows = [list(r) for r in _SCORES]
     for row, col, value in edits:
-        rows[row][col] = value
+        rows[row][col : col + 1] = [value]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scores.csv"
         with path.open("w", newline="", encoding="utf-8") as fh:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,7 @@ RELIGIOUS = str(FIXTURES / "religious.csv")
 #     --seed 17 --n-boot 50 --output-dir tests/fixtures/golden; done
 #   rm tests/fixtures/golden/run_manifest.json
 GOLDEN = FIXTURES / "golden"
+GOLDEN_SCORES = GOLDEN / "scores.csv"
 GOLDEN_EXACT = sorted(
     str(p.relative_to(GOLDEN)) for p in GOLDEN.rglob("*") if p.is_file() and p.name != "mediation.csv"
 )
@@ -477,7 +479,8 @@ class TestAnalyze:
         linguistic.write_text("iso_a,iso_b,distance\nMA,JP,0.4\nIT,MA,0.7\n")
         religious = tmp_path / "religious.csv"
         religious.write_text("iso_a,iso_b,distance\nMA,MX,0.3\n")
-        config = config_for(tmp_path, linguistic_path=str(linguistic), religious_path=str(religious))
+        config = config_for(tmp_path, linguistic_path=str(linguistic),
+                            religious_path=str(religious))
         with caplog.at_level(logging.WARNING, logger="cultnovelty.pipeline"):
             cmd_analyze(config)
         lacking = {m for m in caplog.messages if "rows lack" in m}
@@ -485,10 +488,11 @@ class TestAnalyze:
                            "analyze: 10/12 rows lack a religious distance"}
 
         correlations = read_csv(out / "correlations_distances.csv")[1:]
+        metrics = ("newness", "uniqueness", "difference", "new_surprise", "divergent_surprise")
         assert [row[:3] for row in correlations] == [
             [kind, metric, n]
             for kind, n in (("iw", "12"), ("geo", "12"), ("linguistic", "5"), ("religious", "2"))
-            for metric in ("newness", "uniqueness", "difference", "new_surprise", "divergent_surprise")
+            for metric in metrics
         ]
         assert all(row[3] and row[4] for row in correlations if row[0] != "religious")
         assert all(row[3:] == ["", ""] for row in correlations if row[0] == "religious")
@@ -953,6 +957,47 @@ class TestBadScoreInputs:
             csv.writer(fh, lineterminator="\n").writerows(rows)
         assert main(["analyze", "--output-dir", str(built)]) == 2
         assert f"{scores}:5: repeated row for {'/'.join(rows[3][:3])}" in capsys.readouterr().err
+
+    def test_score_row_with_an_extra_cell_exits_two(self, tmp_path, capsys):
+        lines = GOLDEN_SCORES.read_text(encoding="utf-8").splitlines()
+        lines[3] += ",9.9"
+        scores = tmp_path / "scores.csv"
+        scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["analyze", "--scores", str(scores), "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{scores}:4: more cells than the header" in capsys.readouterr().err
+
+
+class TestNonFiniteDistances:
+    """A distance input that is not a finite number exits 2 before any output."""
+
+    def analyze(self, tmp_path, *flags):
+        out = tmp_path / "out"
+        code = main(["analyze", "--scores", str(GOLDEN_SCORES), "--linguistic", LINGUISTIC,
+                     "--religious", RELIGIOUS, *flags, "--output-dir", str(out)])
+        assert not out.exists()
+        return code
+
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_distance_cell_exits_two(self, tmp_path, capsys, cell):
+        lines = Path(LINGUISTIC).read_text(encoding="utf-8").splitlines()
+        assert lines[6] == "GR,IT,0.644"
+        lines[6] = f"GR,IT,{cell}"
+        linguistic = tmp_path / "linguistic.csv"
+        linguistic.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert self.analyze(tmp_path, "--linguistic", str(linguistic)) == 2
+        assert f"{linguistic}:7: bad distance '{cell}'" in capsys.readouterr().err
+
+    def test_nan_cultural_map_coordinate_exits_two(self, tmp_path, capsys):
+        bundled = resources.files("cultnovelty.data").joinpath("country_registry_v1.json")
+        entries = json.loads(bundled.read_text("utf-8"))
+        at = next(i for i, entry in enumerate(entries) if entry["iso"] == "IT")
+        entries[at]["iw"][0] = math.nan
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps(entries), encoding="utf-8")  # written as NaN
+        assert self.analyze(tmp_path, "--registry", str(registry)) == 2
+        err = capsys.readouterr().err
+        assert f"{registry}: entry {at}: IT: cultural-map coordinate nan is not finite" in err
 
 
 def run_fresh_interpreter(code):
