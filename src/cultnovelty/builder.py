@@ -76,8 +76,8 @@ def load_dish_specs(path: Union[str, Path]) -> list[DishSpec]:
     """Load a dish-spec JSON file: a list of {name, aliases, excluded, country_overrides}.
 
     Two entries whose names give the same slug would write the same
-    manifest files, so they are rejected, as is a blank name, alias,
-    exclusion or override pattern.
+    manifest files, so they are rejected, as is a name, alias, exclusion,
+    override pattern or override country that is not a non-blank string.
     """
     path = Path(path)
     try:
@@ -89,34 +89,37 @@ def load_dish_specs(path: Union[str, Path]) -> list[DishSpec]:
     specs = []
     slugs: dict[str, int] = {}
     for i, entry in enumerate(entries):
+        where = f"{path}: dish entry {i}"
         if not isinstance(entry, dict):
-            raise ParseError(f"{path}: dish entry {i}: must be a JSON object")
+            raise ParseError(f"{where}: must be a JSON object")
         # a string would otherwise be read letter by letter, and a list has no .items()
         for key, kind, name in (("aliases", list, "array"), ("excluded", list, "array"),
                                 ("country_overrides", dict, "object")):
             if not isinstance(entry.get(key, kind()), kind):
-                raise ParseError(f"{path}: dish entry {i}: {key} must be a JSON {name}")
-        # a blank surface would match, or exclude, any title with a standalone punctuation mark
+                raise ParseError(f"{where}: {key} must be a JSON {name}")
+        # str() would turn null into "None", and a blank surface would match, or
+        # exclude, any title with a standalone punctuation mark
+        overrides = entry.get("country_overrides", {})
         for key, values in (("name", [entry["name"]] if "name" in entry else []),
                             ("aliases", entry.get("aliases", [])),
                             ("excluded", entry.get("excluded", [])),
-                            ("country_overrides", entry.get("country_overrides", {}))):
-            if any(not str(value).strip() for value in values):
-                raise ParseError(f"{path}: dish entry {i}: {key} holds an empty or blank string")
+                            ("country_overrides", [*overrides, *overrides.values()])):
+            for value in values:
+                if not isinstance(value, str):
+                    raise ParseError(f"{where}: {key} holds {value!r}, not a JSON string")
+                if not value.strip():
+                    raise ParseError(f"{where}: {key} holds an empty or blank string")
         try:
             specs.append(
                 DishSpec.create(
-                    canonical_name=str(entry["name"]),
-                    aliases=[str(a) for a in entry.get("aliases", [])],
-                    excluded_patterns=[str(p) for p in entry.get("excluded", [])],
-                    country_overrides={
-                        str(k): check_country(str(v).upper(), f"{path}: dish entry {i}")
-                        for k, v in entry.get("country_overrides", {}).items()
-                    },
+                    canonical_name=entry["name"],
+                    aliases=entry.get("aliases", []),
+                    excluded_patterns=entry.get("excluded", []),
+                    country_overrides={k: check_country(v.upper(), where) for k, v in overrides.items()},
                 )
             )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path}: dish entry {i}: {exc}") from exc
+        except KeyError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
         slug = dish_slug(specs[-1].canonical_name)
         first = slugs.setdefault(slug, i)
         if first != i:

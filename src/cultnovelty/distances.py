@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Union
 
 from .errors import ConflictingEntry, MissingCoordinates, ParseError, UnknownCountry
+from .ingest import check_country
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -78,6 +79,20 @@ class Registry:
         return [self._by_iso[iso] for iso in sorted(self._by_iso)]
 
 
+def _coordinate_pair(entry: dict, key: str, where: str) -> tuple[Optional[float], Optional[float]]:
+    """An entry's two coordinates under key: absent or null, or exactly two numbers."""
+    value = entry.get(key)
+    if value is None:
+        return None, None
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+        raise ParseError(f"{where}: {key} must be null or a JSON array of two numbers")
+    try:
+        return float(value[0]), float(value[1])
+    except OverflowError as exc:
+        raise ParseError(f"{where}: {key} coordinate out of range ({exc})") from exc
+
+
 def load_registry(path: Optional[Union[str, Path]] = None) -> Registry:
     """Load a registry JSON file; without a path, the bundled sample registry.
 
@@ -101,22 +116,31 @@ def load_registry(path: Optional[Union[str, Path]] = None) -> Registry:
 
     records = []
     for i, entry in enumerate(entries):
+        where = f"{source}: entry {i}"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where}: must be a JSON object")
+        # a blank surface would match any title with a standalone punctuation mark
+        for key in ("iso", "name"):
+            if not isinstance(entry.get(key), str) or not entry[key].strip():
+                raise ParseError(f"{where}: {key} must be a non-blank string")
+        demonyms = entry.get("demonyms", [])
+        if not isinstance(demonyms, list) or not all(isinstance(d, str) and d.strip() for d in demonyms):
+            raise ParseError(f"{where}: demonyms must be a JSON array of non-blank strings")
+        capital, iw = (_coordinate_pair(entry, key, where) for key in ("capital", "iw"))
         try:
-            capital = entry.get("capital")
-            iw = entry.get("iw")
             records.append(
                 CountryRecord(
-                    iso=str(entry["iso"]).upper(),
-                    name=str(entry["name"]),
-                    demonyms=frozenset(str(d) for d in entry.get("demonyms", [])),
-                    capital_lat=float(capital[0]) if capital else None,
-                    capital_lon=float(capital[1]) if capital else None,
-                    iw_traditional=float(iw[0]) if iw else None,
-                    iw_survival=float(iw[1]) if iw else None,
+                    iso=check_country(entry["iso"].strip().upper(), where),
+                    name=entry["name"],
+                    demonyms=frozenset(demonyms),
+                    capital_lat=capital[0],
+                    capital_lon=capital[1],
+                    iw_traditional=iw[0],
+                    iw_survival=iw[1],
                 )
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise ParseError(f"{source}: entry {i}: {exc}") from exc
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
     return Registry(records)
 
 

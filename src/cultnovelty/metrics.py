@@ -14,7 +14,7 @@ difference. Variations are single documents scored against it:
 - new_surprise: share of the variation's collocation pairs unknown to the
   knowledge PPMI matrix;
 - divergent_surprise: mean row-wise JSD between the two PPMI matrices over
-  the shared vocabulary.
+  the lemmas that have a PPMI row on both sides.
 
 Array layout. ``build_knowledge_space`` calibrates each knowledge space
 once into ``KnowledgeArrays``: the sorted vocabulary as a lemma -> column
@@ -329,35 +329,25 @@ def difference(kb: KnowledgeSpace, variation: Document) -> float:
 def new_surprise(kb_ppmi: PpmiMatrix, var_ppmi: PpmiMatrix) -> float:
     """Share of the variation's collocation pairs absent from the expectation space.
 
-    A pair counts as novel when it is missing from the knowledge matrix or
-    involves a lemma the knowledge space never saw. Returns 0 for a
-    variation with no stored pairs.
+    Returns 0 for a variation with no stored pairs.
     """
     if not var_ppmi.pairs:
         return 0.0
-    novel = 0
-    for (a, b) in var_ppmi.pairs:
-        if a not in kb_ppmi.vocab or b not in kb_ppmi.vocab:
-            novel += 1
-        elif (a, b) not in kb_ppmi.pairs:
-            novel += 1
-    return novel / len(var_ppmi.pairs)
+    return sum(pair not in kb_ppmi.pairs for pair in var_ppmi.pairs) / len(var_ppmi.pairs)
 
 
 def divergent_surprise(kb_ppmi: PpmiMatrix, var_ppmi: PpmiMatrix) -> float:
     """Mean equal-weight JSD between matching PPMI rows of the two matrices.
 
-    Only lemmas shared by both vocabularies contribute, and only when their
-    row has positive mass on both sides; each row is L1-normalized into a
-    distribution over its collocation partners first.
+    Only lemmas with a row on both sides contribute, that is lemmas with at
+    least one positively associated partner in each matrix; each row is an
+    L1-normalized distribution over its collocation partners.
     """
     halves = []
     owner, p, q = [], [], []
-    for lemma in sorted(kb_ppmi.vocab & var_ppmi.vocab):
-        kb_row = kb_ppmi.rows.get(lemma)
-        var_row = var_ppmi.rows.get(lemma)
-        if kb_row is None or var_row is None:
-            continue
+    for lemma in sorted(kb_ppmi.rows.keys() & var_ppmi.rows.keys()):
+        kb_row = kb_ppmi.rows[lemma]
+        var_row = var_ppmi.rows[lemma]
         for partner, q_value in var_row.probs.items():
             p_value = kb_row.probs.get(partner)
             if p_value is not None:

@@ -37,15 +37,11 @@ class PpmiRow(NamedTuple):
 class PpmiMatrix:
     """Sparse symmetric map of unordered lemma pairs to positive PMI bits.
 
-    Each pair is keyed once, as (a, b) with a <= b.
-    vocab covers every lemma seen in the source documents, including
-    lemmas that ended up with no positively associated pair; rows holds a
-    row for each lemma that has one.
+    Each pair is keyed once, as (a, b) with a <= b. rows holds one row
+    for each lemma that is part of at least one stored pair, and no other.
     """
 
     pairs: Mapping[Pair, float]
-    vocab: frozenset[str]
-    pair_total: int
     rows: Mapping[str, PpmiRow] = field(repr=False, compare=False)
 
 
@@ -66,10 +62,8 @@ def build_ppmi(docs: Union[Document, Iterable[Document]], window: int = 3) -> Pp
     for doc in docs:
         lemmas = doc.lemmas
         unigrams.update(lemmas)
-        n = len(lemmas)
-        for i in range(n):
-            for j in range(i + 1, min(i + window, n)):
-                pair_counts[_pair_key(lemmas[i], lemmas[j])] += 1
+        for gap in range(1, window):
+            pair_counts.update(map(_pair_key, lemmas, lemmas[gap:]))
 
     token_total = sum(unigrams.values())
     if token_total == 0:
@@ -77,21 +71,15 @@ def build_ppmi(docs: Union[Document, Iterable[Document]], window: int = 3) -> Pp
 
     pair_total = sum(pair_counts.values())
     pairs: dict[Pair, float] = {}
-    if pair_total > 0:
-        for (a, b), count in pair_counts.items():
-            p_pair = count / pair_total
-            p_a = unigrams[a] / token_total
-            p_b = unigrams[b] / token_total
-            pmi = math.log2(p_pair / (p_a * p_b))
-            if pmi > 0.0:
-                pairs[(a, b)] = pmi
+    for (a, b), count in pair_counts.items():
+        p_pair = count / pair_total
+        p_a = unigrams[a] / token_total
+        p_b = unigrams[b] / token_total
+        pmi = math.log2(p_pair / (p_a * p_b))
+        if pmi > 0.0:
+            pairs[(a, b)] = pmi
 
-    return PpmiMatrix(
-        pairs=pairs,
-        vocab=frozenset(unigrams),
-        pair_total=pair_total,
-        rows=_rows(pairs),
-    )
+    return PpmiMatrix(pairs=pairs, rows=_rows(pairs))
 
 
 def _rows(pairs: Mapping[Pair, float]) -> dict[str, PpmiRow]:

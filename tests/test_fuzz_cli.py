@@ -1,9 +1,9 @@
 """Malformed input files never end in exit code 3, the internal-fault code.
 
-Each property writes one fuzzed file (config, dish spec, split manifest,
-scores table, or the corpus with one fuzzed record appended), runs the CLI
-on it with the test fixtures for every other input, and accepts exit 0, 1
-or 2.
+Each property writes one fuzzed file (config, dish spec, country registry,
+split manifest, scores table, or the corpus with one fuzzed record
+appended), runs the CLI on it with the test fixtures for every other input,
+and accepts exit 0, 1 or 2.
 """
 
 import csv
@@ -69,6 +69,29 @@ def test_dish_specs(specs):
         path = Path(tmp) / "dishes.json"
         path.write_text(json.dumps(specs), encoding="utf-8")
         run(["build", "--corpus", CORPUS, "--dishes", str(path), "--output-dir", str(Path(tmp) / "out")])
+
+
+# the fixture corpus has no country field, so title detection and the manifest
+# names see only the countries of the fuzzed registry
+coordinates = st.lists(st.floats() | st.integers() | st.booleans(), max_size=3)
+registry_entries = st.fixed_dictionaries({}, optional={
+    "iso": st.sampled_from(["MA", " gr ", "jp", "", "M/A", "."]) | json_values,
+    "name": st.sampled_from(["Morocco", "Greece", "Japan", "", " "]) | json_values,
+    "demonyms": st.lists(st.sampled_from(["Moroccan", "Greek", "Japanese", ""]) | json_values,
+                         max_size=3) | json_values,
+    "capital": coordinates | json_values,
+    "iw": coordinates | json_values,
+})
+
+
+@FUZZ
+@given(st.lists(registry_entries | json_values, max_size=4) | json_values)
+def test_registry(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "registry.json"
+        path.write_text(json.dumps(entries), encoding="utf-8")
+        run(["build", "--corpus", CORPUS, "--dishes", DISHES, "--registry", str(path),
+             "--output-dir", str(Path(tmp) / "out")])
 
 
 _manifest = json.loads(GOLDEN_MANIFEST.read_text(encoding="utf-8"))

@@ -662,8 +662,14 @@ class TestCli:
         "field,message",
         [({"country_overrides": ["x"]}, "country_overrides must be a JSON object"),
          ({"aliases": "couscous"}, "aliases must be a JSON array"),
-         ({"excluded": "sweet"}, "excluded must be a JSON array")],
-        ids=["overrides_not_object", "aliases_not_array", "excluded_not_array"],
+         ({"excluded": "sweet"}, "excluded must be a JSON array"),
+         # str() would make these the alias "none", the forced country "NONE" and the dish "7"
+         ({"aliases": ["couscous", None]}, "aliases holds None, not a JSON string"),
+         ({"excluded": [1.5]}, "excluded holds 1.5, not a JSON string"),
+         ({"country_overrides": {"valencia": None}}, "country_overrides holds None, not a JSON string"),
+         ({"name": 7}, "name holds 7, not a JSON string")],
+        ids=["overrides_not_object", "aliases_not_array", "excluded_not_array", "alias_null",
+             "exclusion_number", "override_null", "name_number"],
     )
     def test_dish_field_of_wrong_type_exits_two(self, tmp_path, capsys, field, message):
         dishes = tmp_path / "dishes.json"
@@ -677,8 +683,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "field",
         [{"name": ""}, {"aliases": ["couscous", " "]}, {"excluded": [""]},
-         {"country_overrides": {"\t": "MA"}}],
-        ids=["name", "aliases", "excluded", "country_overrides"],
+         {"country_overrides": {"\t": "MA"}}, {"country_overrides": {"valencia": " "}}],
+        ids=["name", "aliases", "excluded", "country_overrides", "override_country"],
     )
     def test_blank_dish_string_exits_two(self, tmp_path, capsys, field):
         dishes = tmp_path / "dishes.json"
@@ -998,6 +1004,42 @@ class TestNonFiniteDistances:
         assert self.analyze(tmp_path, "--registry", str(registry)) == 2
         err = capsys.readouterr().err
         assert f"{registry}: entry {at}: IT: cultural-map coordinate nan is not finite" in err
+
+
+class TestBadRegistry:
+    """A registry entry of the wrong shape exits 2, naming the entry, before any output."""
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [(1, "must be a JSON object"),
+         # read letter by letter, "Italian" would detect the title "Make a Lasagna" as IT
+         ({"demonyms": "Italian"}, "demonyms must be a JSON array of non-blank strings"),
+         ({"iw": "12"}, "iw must be null or a JSON array of two numbers"),
+         ({"iw": [1.0, 2.0, 3.0]}, "iw must be null or a JSON array of two numbers"),
+         ({"capital": [True, False]}, "capital must be null or a JSON array of two numbers"),
+         ({"iw": [10**400, 0.0]}, "iw coordinate out of range"),
+         ({"iso": ["it"]}, "iso must be a non-blank string"),
+         ({"name": 7}, "name must be a non-blank string"),
+         # a blank surface matches any title with a standalone punctuation mark
+         ({"name": " "}, "name must be a non-blank string"),
+         ({"demonyms": ["Italian", ""]}, "demonyms must be a JSON array of non-blank strings"),
+         ({"iso": "m/a "}, "country 'M/A' cannot name a manifest file")],
+        ids=["not_object", "demonyms_string", "iw_string", "iw_three_numbers", "capital_booleans",
+             "iw_huge_integer", "iso_array", "name_number", "name_blank", "demonym_blank", "iso_unnameable"],
+    )
+    def test_bad_entry_exits_two(self, tmp_path, capsys, edit, message):
+        bundled = resources.files("cultnovelty.data").joinpath("country_registry_v1.json")
+        entries = json.loads(bundled.read_text("utf-8"))
+        at = next(i for i, entry in enumerate(entries) if entry["iso"] == "IT")
+        entries[at] = {**entries[at], **edit} if isinstance(edit, dict) else edit
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps(entries), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["build", "--corpus", CORPUS, "--dishes", DISHES, "--registry", str(registry),
+                     "--output-dir", str(out)])
+        assert code == 2
+        assert f"{registry}: entry {at}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def run_fresh_interpreter(code):

@@ -13,12 +13,11 @@ class TestBuildPpmi:
     def test_single_pair_two_bits(self):
         m = build_ppmi(make_doc("d", ["a", "b"]))
         assert m.pairs == {("a", "b"): 2.0}
-        assert m.pair_total == 1
 
     def test_single_token_empty_pairs(self):
         m = build_ppmi(make_doc("d", ["a"]))
         assert m.pairs == {}
-        assert m.vocab == {"a"}
+        assert m.rows == {}
 
     def test_window_enumeration(self):
         m = build_ppmi(make_doc("d", ["a", "b", "c"]), window=3)
@@ -49,9 +48,11 @@ class TestBuildPpmi:
         assert ("a", "b") in m.pairs
         assert all(v > 0.0 for v in m.pairs.values())
 
-    def test_vocab_covers_pairless_lemmas(self):
-        m = build_ppmi(make_doc("d", ["a", "a", "b", "b"]), window=2)
-        assert m.vocab == {"a", "b"}
+    def test_pairless_lemma_has_no_row(self):
+        # the one pair (a, a) has PMI log2(1 / (1 * 1)) = 0 exactly, so it is not stored
+        m = build_ppmi(make_doc("d", ["a", "a"]), window=2)
+        assert m.pairs == {}
+        assert m.rows == {}
 
     def test_rejects_small_window(self):
         with pytest.raises(ValueError):
@@ -63,7 +64,7 @@ class TestBuildPpmi:
 
     def test_row(self):
         m = build_ppmi(make_doc("d", ["a", "b", "c"]), window=3)
-        assert {w for w in m.vocab if m.pairs.get(("a", w), 0.0) > 0.0} == {"b", "c"}
+        assert {y for x, y in m.pairs if x == "a"} == {"b", "c"}
         assert set(m.rows["a"].probs) == {"b", "c"}
 
     def test_matches_oracle_randomized(self):
@@ -75,9 +76,7 @@ class TestBuildPpmi:
             ]
             window = rng.randint(2, 5)
             mine = build_ppmi(docs, window=window)
-            pairs, vocab, pair_total = oracle_ppmi([d.lemmas for d in docs], window)
-            assert mine.pair_total == pair_total
-            assert mine.vocab == vocab
+            pairs, _, _ = oracle_ppmi([d.lemmas for d in docs], window)
             assert set(mine.pairs) == set(pairs)
             for key, value in pairs.items():
                 assert mine.pairs[key] == pytest.approx(value, abs=1e-12)
