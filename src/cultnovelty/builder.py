@@ -8,7 +8,6 @@ each (dish, origin) into a knowledge set and variations with a seeded
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
@@ -20,7 +19,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .corpus import Document
 from .distances import Registry
 from .errors import IneligibleDish, ParseError
-from .ingest import check_country
+from .ingest import check_country, parse_json
 
 DEFAULT_HOLDOUT = 0.3
 MIN_KNOWLEDGE = 2
@@ -80,12 +79,7 @@ def load_dish_specs(path: Union[str, Path]) -> list[DishSpec]:
     override pattern or override country that is not a non-blank string.
     """
     path = Path(path)
-    try:
-        entries = json.loads(path.read_text("utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(entries, list):
-        raise ParseError(f"{path}: expected a JSON array of dish specs")
+    entries = parse_json(path.read_text("utf-8"), str(path), "dish specs", list)
     specs = []
     slugs: dict[str, int] = {}
     for i, entry in enumerate(entries):

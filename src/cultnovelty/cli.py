@@ -14,7 +14,7 @@ import sys
 from dataclasses import fields
 from typing import Optional, Sequence
 
-from .errors import ConflictingEntry, CultNoveltyError, ParseError, UnknownCountry
+from .errors import CultNoveltyError, ParseError
 from .ingest import PROVIDERS
 from .pipeline import (
     RunConfig,
@@ -28,7 +28,7 @@ from .pipeline import (
 log = logging.getLogger(__name__)
 
 # OSError covers a missing, unreadable or unwritable path of any kind
-_INPUT_ERRORS = (ParseError, UnknownCountry, ConflictingEntry, OSError, UnicodeDecodeError)
+_INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -9,15 +9,14 @@ from user-supplied files. Unknown pairs are reported, never imputed.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from .errors import ConflictingEntry, MissingCoordinates, ParseError, UnknownCountry
-from .ingest import check_country
+from .errors import MissingCoordinates, ParseError, UnknownCountry
+from .ingest import check_country, parse_json
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -107,12 +106,7 @@ def load_registry(path: Optional[Union[str, Path]] = None) -> Registry:
     else:
         source = str(path)
         raw = Path(path).read_text("utf-8")
-    try:
-        entries = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"{source}: invalid JSON ({exc})") from exc
-    if not isinstance(entries, list):
-        raise ParseError(f"{source}: expected a JSON array of country entries")
+    entries = parse_json(raw, source, "registry", list)
 
     records = []
     for i, entry in enumerate(entries):
@@ -206,7 +200,7 @@ def load_distance_matrix(path: Union[str, Path], registry: Registry) -> Distance
             iso_a, iso_b = row[0].strip().upper(), row[1].strip().upper()
             for iso in (iso_a, iso_b):
                 if iso not in registry:
-                    raise UnknownCountry(f"{path}:{line_no}: unknown ISO code {iso!r}")
+                    raise ParseError(f"{path}:{line_no}: unknown ISO code {iso!r}")
             try:
                 value = float(row[2])
             except ValueError:
@@ -217,9 +211,7 @@ def load_distance_matrix(path: Union[str, Path], registry: Registry) -> Distance
                 raise ParseError(f"{path}:{line_no}: nonzero self-distance for {iso_a}")
             key = _pair_key(iso_a, iso_b)
             if key in entries and entries[key] != value:
-                raise ConflictingEntry(
-                    f"{path}:{line_no}: pair {key} already set to {entries[key]}, got {value}"
-                )
+                raise ParseError(f"{path}:{line_no}: pair {key} already set to {entries[key]}, got {value}")
             entries[key] = value
     return DistanceMatrix(entries=entries)
 

@@ -20,7 +20,7 @@ class EmptyCorpus(CultNoveltyError):
 
 
 class ParseError(CultNoveltyError):
-    """An input file is malformed; message carries path and line context."""
+    """An input file, distance CSVs included, is malformed; message carries path and line context."""
 
 
 # novelty metrics
@@ -33,10 +33,6 @@ class InsufficientKB(CultNoveltyError):
 
 class MissingCoordinates(CultNoveltyError):
     """A country record lacks the coordinates the distance needs."""
-
-
-class ConflictingEntry(CultNoveltyError):
-    """A distance file repeats an unordered pair with a different value."""
 
 
 class UnknownCountry(CultNoveltyError):

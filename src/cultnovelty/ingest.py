@@ -1,4 +1,4 @@
-"""JSONL corpus ingestion.
+"""JSONL corpus ingestion, and parse_json, the parser of every JSON input.
 
 One document per line: {"id", "title", "country", "ingredients": [...],
 "text": "..."} plus, when pre-annotated, "tokens": [{"lemma", "pos"}, ...].
@@ -38,6 +38,22 @@ def normalize_ingredient(raw: str) -> str:
 
 def _nfc(value: str) -> str:
     return unicodedata.normalize("NFC", value)
+
+
+def parse_json(text: str, where: str, what: str, kind: type) -> Union[list, dict]:
+    """The list or dict (kind) that a JSON text holds; raises ParseError naming where.
+
+    ValueError covers JSONDecodeError and integer literals over Python's
+    4,300-digit limit. The caller reads the file, so that a UnicodeDecodeError,
+    also a ValueError, keeps its own message.
+    """
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{where}: invalid JSON ({exc})") from exc
+    if not isinstance(value, kind):
+        raise ParseError(f"{where}: {what} must be a JSON {'array' if kind is list else 'object'}")
+    return value
 
 
 def check_country(country: str, where: str) -> str:
@@ -150,12 +166,7 @@ def read_documents(
             if not line.strip():
                 continue
             where = f"{path}:{line_no}"
-            try:
-                record = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ParseError(f"{where}: invalid JSON ({exc})") from exc
-            if not isinstance(record, dict):
-                raise ParseError(f"{where}: expected a JSON object")
+            record = parse_json(line, where, "record", dict)
             if "id" not in record:
                 raise ParseError(f"{where}: missing required field 'id'")
             doc_id = _nfc(str(record["id"]))

@@ -42,7 +42,7 @@ from .errors import (
     RankDeficient,
     UnknownCountry,
 )
-from .ingest import PROVIDERS, read_documents
+from .ingest import PROVIDERS, parse_json, read_documents
 from .metrics import build_knowledge_space, score_all
 from .stats import kendall_tau, mediate, ols, pearson, rbo
 
@@ -131,12 +131,7 @@ class RunConfig:
         """
         values: dict = {}
         if path is not None:
-            try:
-                raw = json.loads(Path(path).read_text("utf-8"))
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-            if not isinstance(raw, dict):
-                raise ParseError(f"{path}: config must be a JSON object")
+            raw = parse_json(Path(path).read_text("utf-8"), str(path), "config", dict)
             hints = get_type_hints(cls)
             unknown = set(raw) - set(hints)
             if unknown:
@@ -352,12 +347,7 @@ def _score_one(kb, doc: Document, config: RunConfig) -> tuple[str, ...]:
 
 def _read_manifest(path: Path) -> dict:
     """Load one split manifest and check its shape; malformed input raises ParseError."""
-    try:
-        manifest = json.loads(path.read_text("utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise ParseError(f"{path}: manifest must be a JSON object")
+    manifest = parse_json(path.read_text("utf-8"), str(path), "manifest", dict)
     for key in ("product", "origin", "knowledge_ids", "variations"):
         if key not in manifest:
             raise ParseError(f"{path}: manifest has no {key!r}")

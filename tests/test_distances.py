@@ -12,7 +12,6 @@ from cultnovelty.distances import (
     load_registry,
 )
 from cultnovelty.errors import (
-    ConflictingEntry,
     MissingCoordinates,
     ParseError,
     UnknownCountry,
@@ -132,7 +131,7 @@ class TestDistanceMatrix:
     def test_conflicting_duplicate(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("iso_a,iso_b,distance\nFR,DE,0.4\nDE,FR,0.5\n")
-        with pytest.raises(ConflictingEntry):
+        with pytest.raises(ParseError, match="d.csv:3: pair"):
             load_distance_matrix(path, load_registry())
 
     def test_consistent_duplicate_tolerated(self, tmp_path):
@@ -151,7 +150,7 @@ class TestDistanceMatrix:
     def test_unknown_iso_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("iso_a,iso_b,distance\nFR,QQ,0.4\n")
-        with pytest.raises(UnknownCountry):
+        with pytest.raises(ParseError, match="d.csv:2: unknown ISO code 'QQ'"):
             load_distance_matrix(path, load_registry())
 
     def test_bad_header_rejected(self, tmp_path):
