@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .corpus import Document
 from .distances import Registry
 from .errors import IneligibleDish, ParseError
-from .ingest import check_country, parse_json
+from .ingest import check_country, json_string, parse_json
 
 DEFAULT_HOLDOUT = 0.3
 MIN_KNOWLEDGE = 2
@@ -99,9 +99,7 @@ def load_dish_specs(path: Union[str, Path]) -> list[DishSpec]:
                             ("excluded", entry.get("excluded", [])),
                             ("country_overrides", [*overrides, *overrides.values()])):
             for value in values:
-                if not isinstance(value, str):
-                    raise ParseError(f"{where}: {key} holds {value!r}, not a JSON string")
-                if not value.strip():
+                if not json_string(value, where, key).strip():
                     raise ParseError(f"{where}: {key} holds an empty or blank string")
         try:
             specs.append(

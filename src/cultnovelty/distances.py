@@ -109,6 +109,7 @@ def load_registry(path: Optional[Union[str, Path]] = None) -> Registry:
     entries = parse_json(raw, source, "registry", list)
 
     records = []
+    first: dict[str, int] = {}  # the entry that holds each ISO
     for i, entry in enumerate(entries):
         where = f"{source}: entry {i}"
         if not isinstance(entry, dict):
@@ -120,11 +121,14 @@ def load_registry(path: Optional[Union[str, Path]] = None) -> Registry:
         demonyms = entry.get("demonyms", [])
         if not isinstance(demonyms, list) or not all(isinstance(d, str) and d.strip() for d in demonyms):
             raise ParseError(f"{where}: demonyms must be a JSON array of non-blank strings")
+        iso = check_country(entry["iso"].strip().upper(), where)
+        if first.setdefault(iso, i) != i:
+            raise ParseError(f"{where}: iso {iso!r} repeats entry {first[iso]}")
         capital, iw = (_coordinate_pair(entry, key, where) for key in ("capital", "iw"))
         try:
             records.append(
                 CountryRecord(
-                    iso=check_country(entry["iso"].strip().upper(), where),
+                    iso=iso,
                     name=entry["name"],
                     demonyms=frozenset(demonyms),
                     capital_lat=capital[0],
@@ -181,7 +185,7 @@ def load_distance_matrix(path: Union[str, Path], registry: Registry) -> Distance
     """Load a CSV distance file with header iso_a,iso_b,distance.
 
     Duplicate unordered pairs with conflicting values and ISO codes absent
-    from the registry are hard errors.
+    from the registry raise ParseError, as does any other malformed line.
     """
     entries: dict[tuple[str, str], float] = {}
     path = Path(path)

@@ -56,6 +56,17 @@ def parse_json(text: str, where: str, what: str, kind: type) -> Union[list, dict
     return value
 
 
+def json_string(value, where: str, *field) -> str:
+    """The value if it is a string; raises ParseError naming where and the field if not.
+
+    The field's parts are joined only for the message, so that a check per
+    corpus token builds no string.
+    """
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: {' '.join(map(str, field))} holds {value!r}, not a JSON string")
+    return value
+
+
 def check_country(country: str, where: str) -> str:
     """Return the country if it can name a manifest file; raise ParseError if not.
 
@@ -77,7 +88,7 @@ class _Line(NamedTuple):
     where: str
     text: str  # what the naive provider tags
     entries: Optional[list[dict[str, str]]]  # the preannotated tokens, NFC strings
-    ingredients: list  # as the record holds them
+    ingredients: list[str]  # as the record holds them
 
 
 def _check_record(record: dict, doc_id: str, provider_name: str, where: str) -> _Line:
@@ -90,8 +101,8 @@ def _check_record(record: dict, doc_id: str, provider_name: str, where: str) -> 
     The naive provider's lemmas are runs of word characters.
     """
     title = record.get("title")
-    title = "" if title is None else _nfc(str(title))
-    raw_text = _nfc(str(record.get("text", "")))
+    title = "" if title is None else _nfc(json_string(title, where, "title"))
+    raw_text = ""  # the preannotated provider reads only the tokens
     entries = None
     if provider_name == "preannotated":
         tokens = record.get("tokens")
@@ -105,21 +116,28 @@ def _check_record(record: dict, doc_id: str, provider_name: str, where: str) -> 
                 raise ParseError(f"{where}: token {i} is not a JSON object")
             if "lemma" not in tok and "text" not in tok:
                 raise ParseError(f"{where}: token {i} has neither lemma nor text")
-            entry = {k: _nfc(str(v)) for k, v in tok.items()}
+            entry = {k: _nfc(json_string(tok[k], where, "token", i, k))
+                     for k in ("lemma", "text", "pos") if k in tok}
             surface = entry["lemma"] if "lemma" in entry else entry["text"]
             if _SPACE_RE.search(surface) and coarse_tag(entry.get("pos", "OTHER")) in RETAINED_TAGS:
-                lemma = PreannotatedProvider([entry]).token_stream(raw_text)[0][0]
+                lemma = PreannotatedProvider([entry]).token_stream("")[0][0]
                 raise ParseError(f"{where}: lemma must be non-empty without whitespace: {lemma!r}")
             entries.append(entry)
-    elif not raw_text.strip():
-        raise ParseError(f"{where}: provider is naive but record has no text")
+    else:
+        text = record.get("text")
+        raw_text = "" if text is None else _nfc(json_string(text, where, "text"))
+        if not raw_text.strip():
+            raise ParseError(f"{where}: provider is naive but record has no text")
 
     country = record.get("country")
-    country = "UNKNOWN" if country is None else str(country).strip().upper() or "UNKNOWN"
-    check_country(country, where)
+    if country is not None:
+        country = json_string(country, where, "country").strip().upper()
+    country = check_country(country or "UNKNOWN", where)
     ingredients = record.get("ingredients", [])
     if not isinstance(ingredients, list):
         raise ParseError(f"{where}: ingredients must be a JSON array")
+    for ingredient in ingredients:
+        json_string(ingredient, where, "ingredients")
     doc = Document(id=doc_id, title=title, body_tokens=(), country=country)
     return _Line(doc, where, raw_text, entries, ingredients)
 
@@ -128,9 +146,7 @@ def _annotate(line: _Line) -> Document:
     """The line's document with its POS-filtered body and normalized
     ingredients; raises EmptyAfterFilter."""
     provider = NaiveProvider() if line.entries is None else PreannotatedProvider(line.entries)
-    ingredients = frozenset(
-        normalize_ingredient(_nfc(str(ing))) for ing in line.ingredients if str(ing).strip()
-    )
+    ingredients = frozenset(normalize_ingredient(_nfc(ing)) for ing in line.ingredients if ing.strip())
     return replace(
         line.doc, body_tokens=filter_stream(provider.token_stream(line.text)), ingredients=ingredients
     )
@@ -143,17 +159,17 @@ def read_documents(
 ) -> list[Document]:
     """Read a JSONL corpus; returns the annotated documents in file order.
 
-    Every line is parsed once and checked for JSON and an id that no earlier
-    line holds. ``ids`` picks the records to annotate: None for all, a
-    collection of NFC ids, or a function that gets every record as a
-    Document with no body tokens yet, in file order, and returns such a
-    collection. The record checks (see _check_record) run on every line,
-    except that a collection limits them to its own ids: score passes one,
-    and its manifests hold the digest of corpus bytes that build checked in
-    full. Build passes its title screen, so its dropped-after-filter
-    warnings name dish-matched records only. Documents emptied by the POS
-    filter are dropped and logged. Malformed lines and duplicate ids are
-    hard errors with line context.
+    Every line is parsed once and checked for JSON and an id, a non-blank
+    string or an integer, that no earlier line holds. ``ids`` picks the
+    records to annotate: None for all, a collection of NFC ids, or a
+    function that gets every record as a Document with no body tokens yet,
+    in file order, and returns such a collection. The record checks (see
+    _check_record) run on every line, except that a collection limits them
+    to its own ids: score passes one, and its manifests hold the digest of
+    corpus bytes that build checked in full. Build passes its title screen,
+    so its dropped-after-filter warnings name dish-matched records only.
+    Documents emptied by the POS filter are dropped and logged. Malformed
+    lines and duplicate ids are hard errors with line context.
     """
     if provider_name not in PROVIDERS:
         raise ValueError(f"unknown annotation provider {provider_name!r}")
@@ -169,7 +185,12 @@ def read_documents(
             record = parse_json(line, where, "record", dict)
             if "id" not in record:
                 raise ParseError(f"{where}: missing required field 'id'")
-            doc_id = _nfc(str(record["id"]))
+            doc_id = record["id"]
+            if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+                raise ParseError(f"{where}: id holds {doc_id!r}, not a JSON string or integer")
+            doc_id = _nfc(str(doc_id))
+            if not doc_id.strip():
+                raise ParseError(f"{where}: id holds an empty or blank string")
             if doc_id in seen_ids:
                 raise ParseError(f"{where}: duplicate document id {doc_id!r}")
             seen_ids.add(doc_id)

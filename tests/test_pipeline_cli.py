@@ -52,6 +52,8 @@ GOLDEN_EXACT = sorted(
     str(p.relative_to(GOLDEN)) for p in GOLDEN.rglob("*") if p.is_file() and p.name != "mediation.csv"
 )
 MEDIATION_EXACT_COLUMNS = {"distance", "metric", "mediator", "n", "acme_p", "ade_p", "total_p"}
+# past Python's 4,300-digit limit on integer literals; json.dumps cannot write one
+HUGE_INTEGER = "9" * 5001
 
 
 def config_for(tmp_path, **overrides):
@@ -628,6 +630,30 @@ class TestCli:
         assert code == 2
         assert f"{path}: invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option,text",
+        [("--config", f'{{"seed": {HUGE_INTEGER}}}'),
+         ("--dishes", f'[{{"name": "Couscous", "aliases": [{HUGE_INTEGER}]}}]'),
+         ("--registry", f'[{{"iso": "MA", "name": "Morocco", "iw": [{HUGE_INTEGER}, 0]}}]'),
+         ("--corpus", f'{{"id": {HUGE_INTEGER}}}'),
+         ("--manifests", f'{{"product": "Couscous", "origin": "MA", "knowledge_ids": [{HUGE_INTEGER}]}}')],
+        ids=["config", "dish_specs", "registry", "corpus_line", "manifest"],
+    )
+    def test_integer_over_the_digit_limit_exits_two(self, tmp_path, capsys, option, text):
+        path = tmp_path / "input"
+        where = str(path)
+        if option == "--corpus":  # one more line after the fixture corpus
+            text = Path(CORPUS).read_text(encoding="utf-8") + text + "\n"
+            where += ":" + str(text.count("\n"))
+        path.write_text(text, encoding="utf-8")
+        command = "score" if option == "--manifests" else "build"
+        # a repeated option takes its last value
+        code = main([command, "--corpus", CORPUS, "--dishes", DISHES,
+                     "--output-dir", str(tmp_path / "out"), option, str(path)])
+        assert code == 2
+        assert f"{where}: invalid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_newness_quantile_flag_is_a_usage_error(self, tmp_path, capsys):
         code = main(["score", "--corpus", CORPUS, "--newness-quantile", "0.5",
                      "--output-dir", str(tmp_path / "out")])
@@ -807,6 +833,18 @@ class TestBadCorpusRecords:
             ("tokens_not_array", ({"tokens": "abc"}, "preannotated")),
             ("ingredients_not_array", ({"ingredients": 5}, "preannotated")),
             ("naive_blank_text", ({"text": " \t"}, "naive")),
+            # str() made these the id 'None', 'True' or '', the country '7', the
+            # ingredient 'none', the lemma 'none' and the naive body ['none']
+            ("id_null", ({"id": None}, "preannotated")),
+            ("id_boolean", ({"id": True}, "preannotated")),
+            ("id_empty", ({"id": ""}, "preannotated")),
+            ("country_number", ({"country": 7}, "preannotated")),
+            ("ingredient_null", ({"ingredients": [None, "salt"]}, "preannotated")),
+            ("lemma_null", ({"tokens": [{"lemma": None, "pos": "NOUN"}]}, "preannotated")),
+            ("token_text_number", ({"tokens": [{"text": 5, "pos": "NUM"}]}, "preannotated")),
+            ("pos_array", ({"tokens": [{"lemma": "salt", "pos": ["NOUN"]}]}, "preannotated")),
+            ("naive_text_null", ({"text": None}, "naive")),
+            ("naive_text_number", ({"text": 7}, "naive")),
         ]),
     )
     def test_build_exits_two_with_path_and_line(self, tmp_path, capsys, fields, provider, title):
@@ -815,6 +853,27 @@ class TestBadCorpusRecords:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 2
         assert f"{corpus}:{line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields,provider,message",
+        [({"title": 7}, "preannotated", "title holds 7, not a JSON string"),
+         ({"id": None}, "preannotated", "id holds None, not a JSON string or integer"),
+         ({"id": " "}, "preannotated", "id holds an empty or blank string"),
+         ({"country": ["MA"]}, "preannotated", "country holds ['MA'], not a JSON string"),
+         ({"ingredients": ["salt", 1]}, "preannotated", "ingredients holds 1, not a JSON string"),
+         ({"tokens": [{"lemma": "salt", "pos": "NOUN"}, {"lemma": None}]}, "preannotated",
+          "token 1 lemma holds None, not a JSON string"),
+         ({"text": None}, "naive", "provider is naive but record has no text"),
+         ({"text": ["salt"]}, "naive", "text holds ['salt'], not a JSON string")],
+        ids=["title", "id", "id_blank", "country", "ingredient", "lemma", "naive_text_null",
+             "naive_text_array"],
+    )
+    def test_value_of_wrong_type_names_the_field(self, tmp_path, capsys, fields, provider, message):
+        corpus, line = write_corpus_with(tmp_path, bad_record(**fields))
+        code = main(["build", "--corpus", corpus, "--dishes", DISHES, "--provider", provider,
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{corpus}:{line}: {message}" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize(
@@ -1023,9 +1082,12 @@ class TestBadRegistry:
          # a blank surface matches any title with a standalone punctuation mark
          ({"name": " "}, "name must be a non-blank string"),
          ({"demonyms": ["Italian", ""]}, "demonyms must be a JSON array of non-blank strings"),
-         ({"iso": "m/a "}, "country 'M/A' cannot name a manifest file")],
+         ({"iso": "m/a "}, "country 'M/A' cannot name a manifest file"),
+         # AR is the bundled registry's first entry
+         ({"iso": " ar"}, "iso 'AR' repeats entry 0")],
         ids=["not_object", "demonyms_string", "iw_string", "iw_three_numbers", "capital_booleans",
-             "iw_huge_integer", "iso_array", "name_number", "name_blank", "demonym_blank", "iso_unnameable"],
+             "iw_huge_integer", "iso_array", "name_number", "name_blank", "demonym_blank", "iso_unnameable",
+             "iso_repeated"],
     )
     def test_bad_entry_exits_two(self, tmp_path, capsys, edit, message):
         bundled = resources.files("cultnovelty.data").joinpath("country_registry_v1.json")
