@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import EmptyCorpus, EmptyDocument
 
@@ -95,8 +95,7 @@ class TokenDistribution:
         return frozenset(self.probs)
 
 
-@dataclass(frozen=True)
-class ControlVars:
+class ControlVars(NamedTuple):
     """Per-variation covariates used as controls and mediators downstream."""
 
     lexical_diversity: float

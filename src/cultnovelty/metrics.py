@@ -17,14 +17,17 @@ difference. Variations are single documents scored against it:
   the lemmas that have a PPMI row on both sides.
 
 Array layout. ``build_knowledge_space`` calibrates each knowledge space
-once into ``KnowledgeArrays``: the sorted vocabulary as a lemma -> column
-index, the documents' probabilities as a dense n x V matrix, the pooled
-aggregate distribution as a V-vector, and each document's halved
-probabilities (see below). The PPMI matrix carries its per-lemma rows,
-already L1-normalized (``ppmi.PpmiRow``). The leave-one-out newness
-threshold takes each fold's "rest" counts as the pooled counts minus the
-held-out row, a block of folds at a time; the pairwise difference
-threshold compares each document with all later ones in one block.
+once, and the space holds its array form: the sorted vocabulary as a
+lemma -> column index, the documents' probabilities as a dense n x V
+matrix, the pooled aggregate distribution as a V-vector, and each
+document's halved probabilities (see below). The PPMI matrix carries its
+per-lemma rows, already L1-normalized (``ppmi.PpmiRow``). ``compare`` lays
+one variation out against that vocabulary; ``score_all`` calls it once and
+hands the ``Comparison`` to newness, uniqueness and difference. The
+leave-one-out newness threshold takes each fold's "rest" counts as the
+pooled counts minus the held-out row, a block of folds at a time; the
+pairwise difference threshold compares each document with all later ones
+in one block.
 
 Bit-identity. Every divergence goes through ``divergence.per_word_terms``,
 which makes the same IEEE operations per word as the scalar formula, and
@@ -44,7 +47,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,10 +68,31 @@ _BLOCK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
-class _Comparison:
+class KnowledgeSpace:
+    """Calibrated document set of one cultural product within one community.
+
+    The fields from ``index`` on are its array form (see the module docstring).
+    """
+
+    docs: tuple[Document, ...]
+    ppmi: PpmiMatrix
+    epsilon_newness: float
+    epsilon_difference: float
+    ingredient_union: frozenset[str]
+    mean_doc_length: float
+    window: int
+    index: dict[str, int] = field(repr=False, compare=False)
+    doc_probs: np.ndarray = field(repr=False, compare=False)
+    doc_halves: tuple[list[float], ...] = field(repr=False, compare=False)
+    agg: np.ndarray = field(repr=False, compare=False)  # pooled count / pooled total of each lemma
+    agg_total: int = field(repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class Comparison:
     """One variation laid out against one knowledge space's vocabulary."""
 
-    variation: Document
+    kb: KnowledgeSpace
     word_count: int  # distinct lemmas of the variation
     columns: np.ndarray  # knowledge-space columns of the variation's known lemmas
     known: np.ndarray  # the variation's probabilities of those lemmas
@@ -78,38 +102,7 @@ class _Comparison:
     terms: np.ndarray  # proportional-weight per-word terms of p against q
 
 
-@dataclass
-class KnowledgeArrays:
-    """Array form of a knowledge space (see the module docstring).
-
-    ``last`` keeps the most recent variation's comparison, so the metrics
-    of one ``score_all`` lay the variation out once.
-    """
-
-    index: dict[str, int]
-    doc_probs: np.ndarray
-    doc_halves: tuple[list[float], ...]
-    agg: np.ndarray  # pooled count / pooled total of each vocabulary lemma
-    agg_total: int
-    last: Optional[_Comparison] = None
-
-
-@dataclass(frozen=True)
-class KnowledgeSpace:
-    """Calibrated document set of one cultural product within one community."""
-
-    docs: tuple[Document, ...]
-    ppmi: PpmiMatrix
-    epsilon_newness: float
-    epsilon_difference: float
-    ingredient_union: frozenset[str]
-    mean_doc_length: float
-    arrays: KnowledgeArrays = field(repr=False, compare=False)
-    window: int = DEFAULT_WINDOW
-
-
-@dataclass(frozen=True)
-class NoveltyScores:
+class NoveltyScores(NamedTuple):
     """All seven score components of one variation against one knowledge space."""
 
     appearance: float
@@ -120,26 +113,10 @@ class NoveltyScores:
     new_surprise: float
     divergent_surprise: float
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.appearance,
-            self.disappearance,
-            self.newness,
-            self.uniqueness,
-            self.difference,
-            self.new_surprise,
-            self.divergent_surprise,
-        )
-
 
 def _require_docs(docs: Sequence[Document]) -> None:
     if len(docs) < 2:
         raise InsufficientKB(f"need at least 2 documents, got {len(docs)}")
-
-
-def _require_variation(variation: Document) -> None:
-    if not variation.body_tokens:
-        raise EmptyDocument(f"variation {variation.id} has no body tokens")
 
 
 def _count_matrix(docs: Sequence[Document]) -> tuple[dict[str, int], np.ndarray]:
@@ -216,65 +193,55 @@ def build_knowledge_space(docs: Iterable[Document], window: int = DEFAULT_WINDOW
     """Assemble and calibrate a knowledge space from its documents."""
     ordered = tuple(sorted(docs, key=lambda d: d.id))
     _require_docs(ordered)
-    for doc in ordered:
-        if not doc.body_tokens:
-            raise EmptyDocument(f"knowledge document {doc.id} has no body tokens")
-    ingredient_union = frozenset().union(*(d.ingredients for d in ordered))
+    index, counts = _count_matrix(ordered)  # raises EmptyDocument for a document without tokens
     aggregate = aggregate_distribution(ordered)
-    index, counts = _count_matrix(ordered)
     doc_probs = counts / counts.sum(axis=1, keepdims=True)
     return KnowledgeSpace(
         docs=ordered,
         ppmi=build_ppmi(ordered, window=window),
         epsilon_newness=calibrate_newness_threshold(ordered),
         epsilon_difference=calibrate_difference_threshold(ordered),
-        ingredient_union=ingredient_union,
-        mean_doc_length=sum(len(d.body_tokens) for d in ordered) / len(ordered),
-        arrays=KnowledgeArrays(
-            index=index,
-            doc_probs=doc_probs,
-            doc_halves=_row_halves(doc_probs),
-            agg=np.array([aggregate.probs[lemma] for lemma in index]),
-            agg_total=aggregate.token_total,
-        ),
+        ingredient_union=frozenset().union(*(d.ingredients for d in ordered)),
+        mean_doc_length=aggregate.token_total / len(ordered),
         window=window,
+        index=index,
+        doc_probs=doc_probs,
+        doc_halves=_row_halves(doc_probs),
+        agg=np.array([aggregate.probs[lemma] for lemma in index]),
+        agg_total=aggregate.token_total,
     )
 
 
-def _compare(kb: KnowledgeSpace, variation: Document) -> _Comparison:
-    """The variation laid out against kb; reused while the same variation is scored."""
-    arrays = kb.arrays
-    if arrays.last is not None and arrays.last.variation is variation:
-        return arrays.last
+def compare(kb: KnowledgeSpace, variation: Document) -> Comparison:
+    """The variation laid out against kb's vocabulary, as newness, uniqueness and difference read it."""
+    if not variation.body_tokens:
+        raise EmptyDocument(f"variation {variation.id} has no body tokens")
     lemmas = variation.lemmas
     counts = Counter(lemmas)
     words = list(counts)
     probs = np.array([counts[w] for w in words]) / len(lemmas)
-    columns = [arrays.index.get(w) for w in words]
+    columns = [kb.index.get(w) for w in words]
     is_known = np.array([c is not None for c in columns], dtype=bool)
     known_columns = np.array([c for c in columns if c is not None], dtype=np.intp)
     unseen = probs[~is_known]
-    p = np.concatenate((arrays.agg, np.zeros(len(unseen))))
-    q = np.concatenate((np.zeros(len(arrays.agg)), unseen))
+    p = np.concatenate((kb.agg, np.zeros(len(unseen))))
+    q = np.concatenate((np.zeros(len(kb.agg)), unseen))
     q[known_columns] = probs[is_known]
-    total = arrays.agg_total + len(lemmas)
-    comparison = _Comparison(
-        variation=variation,
+    total = kb.agg_total + len(lemmas)
+    return Comparison(
+        kb=kb,
         word_count=len(words),
         columns=known_columns,
         known=probs[is_known],
         halves=(0.5 * probs).tolist(),
         p=p,
         q=q,
-        terms=per_word_terms(p, q, arrays.agg_total / total, len(lemmas) / total),
+        terms=per_word_terms(p, q, kb.agg_total / total, len(lemmas) / total),
     )
-    arrays.last = comparison
-    return comparison
 
 
 def newness(
-    kb: KnowledgeSpace,
-    variation: Document,
+    c: Comparison,
     lambda1: float = DEFAULT_LAMBDA1,
     lambda2: float = DEFAULT_LAMBDA2,
 ) -> tuple[float, float, float]:
@@ -285,45 +252,40 @@ def newness(
     disappearance is the mirror share of the knowledge lexicon. Comparisons
     are strict, so an exact replica of the knowledge space scores zero.
     """
-    _require_variation(variation)
     if abs(lambda1 + lambda2 - 1.0) > 1e-12:
         raise ValueError("lambda1 + lambda2 must equal 1")
-    c = _compare(kb, variation)
-    over = c.terms > kb.epsilon_newness
+    over = c.terms > c.kb.epsilon_newness
     appeared = int(np.count_nonzero(over & (c.q > c.p)))
     disappeared = int(np.count_nonzero(over & (c.p > c.q)))
     appearance = appeared / c.word_count
-    disappearance = disappeared / len(kb.arrays.agg)
+    disappearance = disappeared / len(c.kb.agg)
     return appearance, disappearance, lambda1 * appearance + lambda2 * disappearance
 
 
-def uniqueness(kb: KnowledgeSpace, variation: Document) -> float:
+def uniqueness(c: Comparison) -> float:
     """JSD between the variation and the knowledge-space prototype.
 
     Mixture weights are proportional to the corpus and document token totals.
     """
-    _require_variation(variation)
-    return clamped_fsum(_compare(kb, variation).terms.tolist())
+    return clamped_fsum(c.terms.tolist())
 
 
-def difference(kb: KnowledgeSpace, variation: Document) -> float:
+def difference(c: Comparison) -> float:
     """Fraction of knowledge documents strictly farther than the mean pairwise distance.
 
     Document-to-document distances use equal mixture weights; two single
     documents carry no meaningful size asymmetry.
     """
-    _require_variation(variation)
-    c = _compare(kb, variation)
-    doc_probs = kb.arrays.doc_probs[:, c.columns]
+    doc_probs = c.kb.doc_probs[:, c.columns]
     owner, shared = np.nonzero(doc_probs)
     distances = equal_weight_jsds(
-        [(doc_half, c.halves) for doc_half in kb.arrays.doc_halves],
+        [(doc_half, c.halves) for doc_half in c.kb.doc_halves],
         owner,
         doc_probs[owner, shared],
         c.known[shared],
     )
-    exceeding = sum(1 for value in distances if value > kb.epsilon_difference)
-    return exceeding / len(kb.docs)
+    exceeding = sum(1 for value in distances if value > c.kb.epsilon_difference)
+    return exceeding / len(c.kb.docs)
 
 
 def new_surprise(kb_ppmi: PpmiMatrix, var_ppmi: PpmiMatrix) -> float:
@@ -368,15 +330,15 @@ def score_all(
     lambda2: float = DEFAULT_LAMBDA2,
 ) -> NoveltyScores:
     """Score one variation on all five metrics against a calibrated knowledge space."""
-    _require_variation(variation)
-    appearance, disappearance, combined = newness(kb, variation, lambda1, lambda2)
+    c = compare(kb, variation)
+    appearance, disappearance, combined = newness(c, lambda1, lambda2)
     var_ppmi = build_ppmi(variation, window=kb.window)
     return NoveltyScores(
         appearance=appearance,
         disappearance=disappearance,
         newness=combined,
-        uniqueness=uniqueness(kb, variation),
-        difference=difference(kb, variation),
+        uniqueness=uniqueness(c),
+        difference=difference(c),
         new_surprise=new_surprise(kb.ppmi, var_ppmi),
         divergent_surprise=divergent_surprise(kb.ppmi, var_ppmi),
     )

@@ -28,7 +28,7 @@ from .builder import (
     load_dish_specs,
     matched_documents,
 )
-from .corpus import Document, control_variables
+from .corpus import ControlVars, Document, control_variables
 from .distances import Registry, compute_matrix, geo_distance, iw_distance, load_distance_matrix, load_registry
 from .errors import (
     AllTied,
@@ -43,21 +43,13 @@ from .errors import (
     UnknownCountry,
 )
 from .ingest import PROVIDERS, parse_json, read_documents
-from .metrics import build_knowledge_space, score_all
+from .metrics import NoveltyScores, build_knowledge_space, score_all
 from .stats import kendall_tau, mediate, ols, pearson, rbo
 
 log = logging.getLogger(__name__)
 
-METRIC_COLUMNS = (
-    "appearance",
-    "disappearance",
-    "newness",
-    "uniqueness",
-    "difference",
-    "new_surprise",
-    "divergent_surprise",
-)
-CONTROL_COLUMNS = ("lexical_diversity", "new_ingredient_ratio", "length_ratio")
+METRIC_COLUMNS = NoveltyScores._fields
+CONTROL_COLUMNS = ControlVars._fields
 SCORE_COLUMNS = ("product", "kb_culture", "variation_id", "variation_culture") + METRIC_COLUMNS + CONTROL_COLUMNS
 FIVE_METRICS = ("newness", "uniqueness", "difference", "new_surprise", "divergent_surprise")
 DISTANCE_KINDS = ("iw", "geo", "linguistic", "religious")
@@ -336,13 +328,7 @@ def cmd_build(config: RunConfig) -> dict:
 
 def _score_one(kb, doc: Document, config: RunConfig) -> tuple[str, ...]:
     scores = score_all(kb, doc, config.lambda1, config.lambda2)
-    controls = control_variables(doc, kb)
-    values = scores.as_tuple() + (
-        controls.lexical_diversity,
-        controls.new_ingredient_ratio,
-        controls.length_ratio,
-    )
-    return tuple(fmt_float(v) for v in values)
+    return tuple(fmt_float(v) for v in (*scores, *control_variables(doc, kb)))
 
 
 def _read_manifest(path: Path) -> dict:

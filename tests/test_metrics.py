@@ -9,6 +9,7 @@ from cultnovelty.metrics import (
     build_knowledge_space,
     calibrate_difference_threshold,
     calibrate_newness_threshold,
+    compare,
     difference,
     divergent_surprise,
     new_surprise,
@@ -73,25 +74,25 @@ class TestNewness:
     def test_replica_scores_zero(self):
         kb = kb_two()
         var = make_doc("v", AAB + ABB)  # same pooled distribution as the aggregate
-        appearance, disappearance, combined = newness(kb, var)
+        appearance, disappearance, combined = newness(compare(kb, var))
         assert (appearance, disappearance, combined) == (0.0, 0.0, 0.0)
 
     def test_lambda_weighting_identity(self):
         kb = kb_two()
         var = make_doc("v", ["a", "c", "c"])
-        appearance, disappearance, combined = newness(kb, var)
+        appearance, disappearance, combined = newness(compare(kb, var))
         assert combined == pytest.approx(0.8 * appearance + 0.2 * disappearance, abs=1e-12)
 
     def test_all_new_words_full_appearance(self):
         kb = kb_two()
-        _, _, _ = newness(kb, make_doc("v", ["c", "c", "c"]))
-        appearance, disappearance, combined = newness(kb, make_doc("v", ["c", "c", "c"]))
+        _, _, _ = newness(compare(kb, make_doc("v", ["c", "c", "c"])))
+        appearance, disappearance, combined = newness(compare(kb, make_doc("v", ["c", "c", "c"])))
         assert appearance == 1.0
 
     def test_matches_oracle(self):
         kb = kb_two()
         var = make_doc("v", ["a", "c", "b", "c"])
-        mine = newness(kb, var)
+        mine = newness(compare(kb, var))
         expected = oracle_newness([AAB, ABB], ["a", "c", "b", "c"])
         for got, want in zip(mine, expected):
             assert got == pytest.approx(want, abs=1e-9)
@@ -99,26 +100,26 @@ class TestNewness:
     def test_lambda_must_sum_to_one(self):
         kb = kb_two()
         with pytest.raises(ValueError):
-            newness(kb, make_doc("v", ["a"]), lambda1=0.8, lambda2=0.3)
+            newness(compare(kb, make_doc("v", ["a"])), lambda1=0.8, lambda2=0.3)
 
     def test_empty_variation(self):
         with pytest.raises(EmptyDocument):
-            newness(kb_two(), make_doc("v", []))
+            newness(compare(kb_two(), make_doc("v", [])))
 
 
 class TestUniqueness:
     def test_replica_zero(self):
         kb = kb_two()
-        assert uniqueness(kb, make_doc("v", AAB + ABB)) == 0.0
+        assert uniqueness(compare(kb, make_doc("v", AAB + ABB))) == 0.0
 
     def test_disjoint_equal_totals_is_one(self):
         kb = kb_two()  # six knowledge tokens
-        assert uniqueness(kb, make_doc("v", ["c"] * 6)) == 1.0
+        assert uniqueness(compare(kb, make_doc("v", ["c"] * 6))) == 1.0
 
     def test_matches_oracle_with_proportional_weights(self):
         kb = kb_two()
         var = make_doc("v", ["a", "c"])
-        assert uniqueness(kb, var) == pytest.approx(
+        assert uniqueness(compare(kb, var)) == pytest.approx(
             oracle_uniqueness([AAB, ABB], ["a", "c"]), abs=1e-12
         )
 
@@ -140,16 +141,16 @@ class TestDifferenceThreshold:
 class TestDifference:
     def test_identical_everything_zero(self):
         kb = build_knowledge_space([make_doc("1", AAB), make_doc("2", AAB)])
-        assert difference(kb, make_doc("v", AAB)) == 0.0
+        assert difference(compare(kb, make_doc("v", AAB))) == 0.0
 
     def test_disjoint_variation_full(self):
         kb = build_knowledge_space([make_doc("1", AAB), make_doc("2", AAB)])
-        assert difference(kb, make_doc("v", ["z", "z"])) == 1.0
+        assert difference(compare(kb, make_doc("v", ["z", "z"]))) == 1.0
 
     def test_three_doc_fixture_oracle(self):
         docs = [make_doc("1", AAB), make_doc("2", ABB), make_doc("3", ["a", "b"])]
         kb = build_knowledge_space(docs)
-        assert difference(kb, make_doc("v", ["a", "c"])) == pytest.approx(
+        assert difference(compare(kb, make_doc("v", ["a", "c"]))) == pytest.approx(
             oracle_difference([AAB, ABB, ["a", "b"]], ["a", "c"]), abs=1e-12
         )
 
@@ -223,13 +224,13 @@ class TestScoreAll:
         kb = kb_two()
         var = make_doc("v", ["a", "c", "b"])
         scores = score_all(kb, var)
-        appearance, disappearance, combined = newness(kb, var)
+        appearance, disappearance, combined = newness(compare(kb, var))
         var_ppmi = build_ppmi(var, window=kb.window)
         assert scores.appearance == appearance
         assert scores.disappearance == disappearance
         assert scores.newness == combined
-        assert scores.uniqueness == uniqueness(kb, var)
-        assert scores.difference == difference(kb, var)
+        assert scores.uniqueness == uniqueness(compare(kb, var))
+        assert scores.difference == difference(compare(kb, var))
         assert scores.new_surprise == new_surprise(kb.ppmi, var_ppmi)
         assert scores.divergent_surprise == divergent_surprise(kb.ppmi, var_ppmi)
 
@@ -246,7 +247,7 @@ class TestScoreAll:
         rng = random.Random(2)
         for _ in range(50):
             kb, var = random_kb_and_variation(rng)
-            for value in score_all(kb, var).as_tuple():
+            for value in score_all(kb, var):
                 assert 0.0 <= value <= 1.0
 
     def test_uniform_duplication_leaves_distribution_metrics_unchanged(self):
@@ -254,10 +255,10 @@ class TestScoreAll:
         kb2 = build_knowledge_space([make_doc("k1", AAB * 3), make_doc("k2", ABB * 3)])
         var = make_doc("v", ["a", "c"])
         var2 = make_doc("v", ["a", "c"] * 3)
-        assert uniqueness(kb, var) == pytest.approx(uniqueness(kb2, var2), abs=1e-12)
-        assert difference(kb, var) == difference(kb2, var2)
-        n1 = newness(kb, var)
-        n2 = newness(kb2, var2)
+        assert uniqueness(compare(kb, var)) == pytest.approx(uniqueness(compare(kb2, var2)), abs=1e-12)
+        assert difference(compare(kb, var)) == difference(compare(kb2, var2))
+        n1 = newness(compare(kb, var))
+        n2 = newness(compare(kb2, var2))
         assert n1[0] == pytest.approx(n2[0], abs=1e-12)
         assert n1[1] == pytest.approx(n2[1], abs=1e-12)
 
@@ -265,8 +266,8 @@ class TestScoreAll:
         rng = random.Random(4)
         for _ in range(30):
             kb, var = random_kb_and_variation(rng)
-            value = uniqueness(kb, var)
-            aggregate = dict(zip(kb.arrays.index, kb.arrays.agg.tolist()))
+            value = uniqueness(compare(kb, var))
+            aggregate = dict(zip(kb.index, kb.agg.tolist()))
             same = TokenDistribution.from_counts(Counter(var.lemmas)).probs == aggregate
             assert (value == 0.0) == same
 
@@ -300,9 +301,9 @@ class TestKnowledgeSpace:
         for _ in range(20):
             kb, _ = random_kb_and_variation(rng)
             pooled = aggregate_distribution(kb.docs)
-            assert list(kb.arrays.index) == sorted(pooled.probs)
-            assert kb.arrays.agg.tolist() == [pooled.probs[w] for w in kb.arrays.index]
-            assert kb.arrays.agg_total == pooled.token_total == sum(len(d.lemmas) for d in kb.docs)
+            assert list(kb.index) == sorted(pooled.probs)
+            assert kb.agg.tolist() == [pooled.probs[w] for w in kb.index]
+            assert kb.agg_total == pooled.token_total == sum(len(d.lemmas) for d in kb.docs)
 
     def test_docs_sorted_by_id(self):
         kb = build_knowledge_space([make_doc("b", AAB), make_doc("a", ABB)])

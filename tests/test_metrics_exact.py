@@ -73,7 +73,7 @@ def assert_equals_scalar(docs, variation):
     kb = kb_of(docs)
     assert kb.epsilon_newness == scalar_newness_threshold(docs)
     assert kb.epsilon_difference == scalar_difference_threshold(docs)
-    assert score_all(kb, make_doc("v", variation)).as_tuple() == scalar_score_all(docs, variation)
+    assert score_all(kb, make_doc("v", variation)) == scalar_score_all(docs, variation)
 
 
 @EXACT
@@ -106,7 +106,7 @@ def test_tied_cases_really_tie():
 @given(cases())
 def test_every_metric_in_unit_interval(case):
     docs, variation = case
-    assert all(0.0 <= v <= 1.0 for v in score_all(kb_of(docs), make_doc("v", variation)).as_tuple())
+    assert all(0.0 <= v <= 1.0 for v in score_all(kb_of(docs), make_doc("v", variation)))
 
 
 @EXACT
