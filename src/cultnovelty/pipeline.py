@@ -38,6 +38,7 @@ from .errors import (
     InsufficientKB,
     InsufficientObservations,
     MissingCoordinates,
+    NumericOverflow,
     ParseError,
     RankDeficient,
     UnknownCountry,
@@ -357,6 +358,10 @@ def _read_manifest(path: Path) -> dict:
     for key, ids in (("knowledge_ids", manifest["knowledge_ids"]), ("variations", variation_ids)):
         if len(set(ids)) < len(ids):
             raise ParseError(f"{path}: {key} repeat an id")
+    knowledge = set(manifest["knowledge_ids"])
+    for doc_id in variation_ids:
+        if doc_id in knowledge:
+            raise ParseError(f"{path}: {doc_id!r} is both a knowledge id and a variation")
     return manifest
 
 
@@ -385,8 +390,16 @@ def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Pa
         manifest_paths = sorted((out_dir / "manifests").glob("*.json"))
     manifests = [(path, _read_manifest(path)) for path in sorted(Path(p) for p in manifest_paths)]
     corpus_digest = _sha256_file(config.corpus_path)
+    split_paths: dict[tuple[str, str], Path] = {}
     for manifest_path, manifest in manifests:
         _check_built_from(manifest_path, manifest, config, corpus_digest)
+        product, origin = split = (manifest["product"], manifest["origin"])
+        if split in split_paths:
+            raise ParseError(
+                f"{manifest_path}: product {product!r}, origin {origin!r} repeats the split of "
+                f"{split_paths[split]}"
+            )
+        split_paths[split] = manifest_path
     referenced = {
         doc_id
         for _, manifest in manifests
@@ -563,7 +576,7 @@ def _distance_tables(rows: list[dict], config: RunConfig) -> tuple[list[list[str
         design = np.column_stack([np.ones(n)] + [columns[col] for col in terms[1:]])
         try:
             full = ols(design, y, names=terms)
-        except (RankDeficient, InsufficientObservations) as exc:
+        except (RankDeficient, InsufficientObservations, NumericOverflow) as exc:
             log.warning("analyze: full %s regression skipped (%s)", kind, exc)
         else:
             per_term = (full.coefficients, full.std_errors, full.t_stats, full.p_values)
@@ -576,7 +589,7 @@ def _distance_tables(rows: list[dict], config: RunConfig) -> tuple[list[list[str
             single = np.column_stack([np.ones(n), columns[metric]])
             try:
                 result = ols(single, y, names=("const", metric))
-            except (RankDeficient, InsufficientObservations) as exc:
+            except (RankDeficient, InsufficientObservations, NumericOverflow) as exc:
                 log.warning("analyze: marginal %s ~ %s skipped (%s)", kind, metric, exc)
                 continue
             values = (result.r_squared, result.coefficients[metric], result.p_values[metric])

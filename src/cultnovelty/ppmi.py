@@ -62,7 +62,7 @@ def build_ppmi(docs: Union[Document, Iterable[Document]], window: int = 3) -> Pp
     for doc in docs:
         lemmas = doc.lemmas
         unigrams.update(lemmas)
-        for gap in range(1, window):
+        for gap in range(1, min(window, len(lemmas))):  # a gap past the document holds no pair
             pair_counts.update(map(_pair_key, lemmas, lemmas[gap:]))
 
     token_total = sum(unigrams.values())

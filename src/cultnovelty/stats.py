@@ -211,7 +211,8 @@ def ols(
 ) -> RegressionResult:
     """Least squares through a QR decomposition, with classical inference.
 
-    The design matrix must already include its intercept column.
+    The design matrix must already include its intercept column. Raises
+    NumericOverflow when a sum of squares or a standard error overflows float64.
     """
     X = np.asarray(design, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -227,19 +228,23 @@ def ols(
     if len(names) != k:
         raise ValueError("one name per design column required")
 
-    q, r = np.linalg.qr(X)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= max(n, k) * np.finfo(float).eps * diag.max():
-        raise RankDeficient("design matrix is rank deficient")
-    beta = np.linalg.solve(r, q.T @ yv)
+    # finite inputs can still overflow float64 on the way; the check below catches that
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, r = np.linalg.qr(X)
+        diag = np.abs(np.diag(r))
+        if diag.min() <= max(n, k) * np.finfo(float).eps * diag.max():
+            raise RankDeficient("design matrix is rank deficient")
+        beta = np.linalg.solve(r, q.T @ yv)
 
-    residuals = yv - X @ beta
-    ssr = float(residuals @ residuals)
-    sst = float(np.sum((yv - yv.mean()) ** 2))
-    df = n - k
-    r_inv = np.linalg.solve(r, np.eye(k))
-    xtx_inv = r_inv @ r_inv.T
-    se = np.sqrt(np.diag(ssr / df * xtx_inv))
+        residuals = yv - X @ beta
+        ssr = float(residuals @ residuals)
+        sst = float(np.sum((yv - yv.mean()) ** 2))
+        df = n - k
+        r_inv = np.linalg.solve(r, np.eye(k))
+        xtx_inv = r_inv @ r_inv.T
+        se = np.sqrt(np.diag(ssr / df * xtx_inv))
+    if not (math.isfinite(ssr) and math.isfinite(sst) and np.isfinite(se).all()):
+        raise NumericOverflow("the regression overflows float64")
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0, beta / se, np.inf)
     p_values = [_t_p_value(float(t), df) for t in t_stats]

@@ -288,6 +288,10 @@ class TestKnowledgeSpace:
         )
         assert kb.mean_doc_length == pytest.approx(8 / 3)
 
+    def test_empty_document_rejected(self):
+        with pytest.raises(EmptyDocument, match="document k2 has no body tokens"):
+            build_knowledge_space([make_doc("k1", AAB), make_doc("k2", [])])
+
     def test_ingredient_union(self):
         docs = [
             make_doc("1", AAB, ingredients=frozenset({"salt"})),

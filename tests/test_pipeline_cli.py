@@ -312,6 +312,31 @@ class TestScore:
         cmd_score(config)
         assert len(calls) == len(referenced) < len(Path(CORPUS).read_text().splitlines())
 
+    def test_window_past_every_document_scores_like_the_longest_one(self, tmp_path):
+        # at the longest referenced document's token count every in-document gap
+        # is already counted, so a larger window must give the same scores, at once
+        built = tmp_path / "built"
+        assert main(["build", "--corpus", CORPUS, "--dishes", DISHES, "--output-dir", str(built)]) == 0
+        manifests = sorted(str(p) for p in (built / "manifests").iterdir())
+        referenced = set()
+        for path in manifests:
+            manifest = json.loads(Path(path).read_text())
+            referenced |= set(manifest["knowledge_ids"]) | {v["id"] for v in manifest["variations"]}
+        longest = max(len(doc.lemmas) for doc in ingest.read_documents(CORPUS, "preannotated", referenced))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+        scores = []
+        for window in (longest, 10**9):
+            out = tmp_path / f"window_{window}"
+            done = subprocess.run(
+                [sys.executable, "-m", "cultnovelty.cli", "score", "--corpus", CORPUS,
+                 "--window", str(window), "--manifests", *manifests, "--output-dir", str(out)],
+                env=env, timeout=60, capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            scores.append((out / "scores.csv").read_bytes())
+        assert scores[0] == scores[1]
+
     def test_empty_manifest_set_still_parses_every_line(self, tmp_path, capsys):
         corpus, line = write_corpus_with(tmp_path, bad_record())
         Path(corpus).write_text(Path(corpus).read_text() + "{not json\n")
@@ -505,6 +530,24 @@ class TestAnalyze:
         assert [(row[0], row[1]) for row in regressions] == [("iw", "12")] * 9 + [("geo", "12")] * 9
         mediation = read_csv(out / "mediation.csv")[1:]
         assert {row[0] for row in mediation} == {"iw", "geo"}
+
+
+class TestOverflowingRegression:
+    def test_distances_that_overflow_a_regression_skip_it(self, tmp_path, caplog):
+        # finite and accepted by the loader, but the sums of squares overflow float64
+        lines = Path(LINGUISTIC).read_text(encoding="utf-8").splitlines()
+        scaled = [f"{a},{b},{float(d) * 1e300!r}" for a, b, d in (line.split(",") for line in lines[1:])]
+        linguistic = tmp_path / "linguistic.csv"
+        linguistic.write_text("\n".join([lines[0], *scaled]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="cultnovelty.pipeline"):
+            code = main(["analyze", "--scores", str(GOLDEN_SCORES), "--linguistic", str(linguistic),
+                         "--religious", RELIGIOUS, "--n-boot", "20", "--output-dir", str(out)])
+        assert code == 0
+        assert "analyze: full linguistic regression skipped (the regression overflows float64)" in caplog.messages
+        for name in ("regressions.csv", "marginal.csv"):
+            kinds = {row[0] for row in read_csv(out / name)[1:]}
+            assert kinds == {"iw", "geo", "religious"}
 
 
 class TestDeterminism:
@@ -992,6 +1035,31 @@ class TestBadScoreInputs:
         path.write_text(json.dumps(payload(json.loads(path.read_text()))))
         assert main(["score", "--corpus", CORPUS, "--output-dir", str(built)]) == 2
         assert f"{path}: {message}" in capsys.readouterr().err
+        assert not (built / "scores.csv").exists()
+
+    @pytest.mark.parametrize("copy", ["second_name", "passed_twice"])
+    def test_two_manifests_of_one_split_exit_two(self, built, capsys, copy):
+        path = built / "manifests" / "couscous__GR.json"
+        other = built / "manifests" / "couscous__GR_copy.json"
+        if copy == "second_name":
+            other.write_bytes(path.read_bytes())
+            argv = []
+        else:
+            other = path
+            argv = ["--manifests", str(path), str(path)]
+        assert main(["score", "--corpus", CORPUS, *argv, "--output-dir", str(built)]) == 2
+        err = capsys.readouterr().err
+        assert f"{other}: product 'Couscous', origin 'GR' repeats the split of {path}" in err
+        assert not (built / "scores.csv").exists()
+
+    def test_knowledge_id_listed_as_variation_exits_two(self, built, capsys):
+        path = built / "manifests" / "couscous__MA.json"
+        manifest = json.loads(path.read_text())
+        doc_id = manifest["knowledge_ids"][0]
+        manifest["variations"].append({"id": doc_id, "country": "MA"})
+        path.write_text(json.dumps(manifest))
+        assert main(["score", "--corpus", CORPUS, "--output-dir", str(built)]) == 2
+        assert f"{path}: {doc_id!r} is both a knowledge id and a variation" in capsys.readouterr().err
         assert not (built / "scores.csv").exists()
 
     @pytest.mark.parametrize(
