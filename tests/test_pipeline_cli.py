@@ -323,15 +323,13 @@ class TestScore:
             manifest = json.loads(Path(path).read_text())
             referenced |= set(manifest["knowledge_ids"]) | {v["id"] for v in manifest["variations"]}
         longest = max(len(doc.lemmas) for doc in ingest.read_documents(CORPUS, "preannotated", referenced))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]))
         scores = []
         for window in (longest, 10**9):
             out = tmp_path / f"window_{window}"
             done = subprocess.run(
                 [sys.executable, "-m", "cultnovelty.cli", "score", "--corpus", CORPUS,
                  "--window", str(window), "--manifests", *manifests, "--output-dir", str(out)],
-                env=env, timeout=60, capture_output=True, text=True,
+                env=src_env(), timeout=60, capture_output=True, text=True,
             )
             assert done.returncode == 0, done.stderr
             scores.append((out / "scores.csv").read_bytes())
@@ -1172,10 +1170,14 @@ class TestBadRegistry:
         assert not out.exists()
 
 
-def run_fresh_interpreter(code):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def src_env():
+    """The environment for a fresh interpreter that imports this checkout's package."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def run_fresh_interpreter(code):
+    subprocess.run([sys.executable, "-c", code], check=True, env=src_env())
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
