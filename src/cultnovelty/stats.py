@@ -6,14 +6,21 @@ Keele & Tingley 2010) with a seeded percentile bootstrap (Efron &
 Tibshirani 1993). The bootstrap draws each (seed, n, n_boot) resample set
 once and solves every replicate from count-weighted Gram matrices of the
 standardized data; rank-deficient replicates fall back to minimum-norm
-least squares. Implementations are written against numpy directly; the
-test suite checks them against independent oracles. ``scipy.special`` is
-imported on first use, so importing the package does not pay for it.
+least squares. Implementations are written against numpy and the standard
+library; the test suite checks them against independent oracles.
+
+The t-test p-value is the regularized incomplete beta I_x(df/2, 1/2),
+evaluated by the modified Lentz method (Numerical Recipes, 3rd ed., sections
+5.2 and 6.4) on the even part of its continued fraction, written in both x
+and 1 - x (DiDonato & Morris 1992, BFRAC) so that neither is formed from the
+other. Its log-beta term comes from ``math.lgamma`` for small df and from the
+asymptotic series of ln Gamma(a + 1/2) - ln Gamma(a) (DLMF 5.11.8) for large df.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -35,6 +42,11 @@ _BOOT_BLOCK = 64
 # a Gram block whose eigenvalue ratio falls below this is refit by lstsq; the
 # normal equations lose up to about eps / ratio relative, so 1e-4 keeps them near 1e-11
 _MIN_EIGEN_RATIO = 1e-4
+# the continued fraction of I_x(df/2, 1/2) takes at most about 170 terms for df up to 1e12
+_MAX_FRACTION_TERMS = 1000
+# modified Lentz: stand-in for a zero denominator
+_LENTZ_TINY = 1e-300
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -77,13 +89,65 @@ def _paired(x: Sequence[float], y: Sequence[float], min_n: int) -> tuple[np.ndar
     return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
 
 
-def _t_p_value(t: float, df: int) -> float:
-    """Two-sided p of a t statistic via the regularized incomplete beta."""
-    if math.isinf(t):
-        return 0.0
-    from scipy import special
+def _ln_beta_half(a: float) -> float:
+    """ln B(a, 1/2) = ln Gamma(a) + ln Gamma(1/2) - ln Gamma(a + 1/2)."""
+    if a < 15.0:
+        return math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+    # ln Gamma(a + 1/2) - ln Gamma(a) by DLMF 5.11.8: from a = 15 the series is within
+    # 5e-16 absolute, while the difference of two lgamma values loses 6e-15 and growing
+    w = 1.0 / (a * a)
+    series = 1 / 8 - w * (1 / 192 - w * (1 / 640 - w * (17 / 14336 - w * 5115 / 3041280)))
+    return 0.5 * math.log(math.pi / a) + series / a
 
-    return float(special.betainc(df / 2.0, 0.5, df / (df + t * t)))
+
+def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
+    """x^a y^b / (B(a, b) I_x(a, b)) for y = 1 - x, by modified Lentz.
+
+    The even part of the continued fraction of I_x(a, b) (DiDonato & Morris
+    1992, BFRAC). It converges fast for (a + b) y >= b; its partial
+    denominators add positive terms in x and y, where the plain fraction
+    (Numerical Recipes 6.4) subtracts two terms near one when a is large.
+    """
+    f = a * (a * y - b * x + 1.0) / (a + 1.0)
+    c, d = f, 0.0
+    for m in range(1, _MAX_FRACTION_TERMS):
+        k = a + 2 * m
+        num = (a + m - 1) * (a + b + m - 1) * m * (b - m) * (x / (k - 1)) ** 2
+        den = m + m * (b - m) * x / (k - 1) + (a + m) * (a * y - b * x + 1.0 + m * (1.0 + y)) / (k + 1)
+        d = 1.0 / ((den + num * d) or _LENTZ_TINY)
+        c = (den + num / c) or _LENTZ_TINY
+        step = c * d
+        f *= step
+        if abs(step - 1.0) <= _EPS:
+            break
+    return f
+
+
+def _t_p_value(t: float, df: int) -> float:
+    """Two-sided p of a t statistic: the regularized incomplete beta I_x(df/2, 1/2).
+
+    x = df / (df + t^2) and 1 - x = t^2 / (df + t^2) and their logs come
+    straight from t: x rounds away the digits that carry p at large df. A t
+    whose square overflows gives 0.
+    """
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    if math.isinf(t2):
+        return 0.0
+    a = df / 2.0
+    x = df / (df + t2)
+    y = t2 / (df + t2)
+    front = math.exp(-a * math.log1p(t2 / df) - 0.5 * math.log1p(df / t2) - _ln_beta_half(a))
+    # (a + 1/2) y >= 1/2 exactly when t^2 >= 1; below it p > 0.3, so 1 - I_y(1/2, a) keeps its digits
+    if t2 >= 1.0:
+        return front / _beta_fraction(a, 0.5, x, y)
+    return 1.0 - front / _beta_fraction(0.5, a, y, x)
+
+
+def _normal_p(z: float) -> float:
+    """Two-sided p of a standard normal statistic."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
@@ -148,11 +212,7 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     var = (v0 - vt - vu) / 18.0 + v1 + v2
     if var <= 0.0:
         return tau, 1.0
-    z = concordant_minus_discordant / math.sqrt(var)
-    from scipy import special
-
-    p = float(special.erfc(abs(z) / math.sqrt(2.0)))
-    return tau, min(1.0, p)
+    return tau, _normal_p(concordant_minus_discordant / math.sqrt(var))
 
 
 def rbo(list_a: Sequence[str], list_b: Sequence[str], p: float = 0.9) -> float:

@@ -1180,11 +1180,15 @@ def run_fresh_interpreter(code):
     subprocess.run([sys.executable, "-c", code], check=True, env=src_env())
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # importing scipy.stats costs 0.5-1.1 s and scipy.special about 0.4 s, which
-    # every CLI stage process would pay; only analyze's statistics need scipy.special
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # importing scipy.stats costs 0.5-1.1 s and scipy.special about 0.3 s, which
+    # every CLI stage process would pay; the p-values come from the standard
+    # library, so not even analyze may load any part of scipy
+    argv = ["analyze", "--scores", str(GOLDEN_SCORES), "--linguistic", LINGUISTIC,
+            "--religious", RELIGIOUS, "--n-boot", "20", "--output-dir", str(tmp_path / "out")]
     run_fresh_interpreter(
-        "import cultnovelty.cli, sys; assert not {'scipy.stats', 'scipy.special'} & set(sys.modules)")
+        f"import sys; from cultnovelty import cli; assert cli.main({argv!r}) == 0; "
+        "assert not [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]")
 
 
 def test_non_numeric_modules_load_without_numpy():

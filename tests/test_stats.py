@@ -2,6 +2,7 @@ import math
 import random
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -17,7 +18,16 @@ from cultnovelty.errors import (
     NumericOverflow,
     RankDeficient,
 )
-from cultnovelty.stats import _resample_counts, kendall_tau, mediate, ols, pearson, rbo
+from cultnovelty.stats import (
+    _normal_p,
+    _resample_counts,
+    _t_p_value,
+    kendall_tau,
+    mediate,
+    ols,
+    pearson,
+    rbo,
+)
 
 from oracles import oracle_mediate, oracle_rbo
 
@@ -129,6 +139,70 @@ class TestKendallTau:
         y = [1, 2, 3, 3, 5]
         assert kendall_tau(huge, y) == kendall_tau(same_order, y)
         assert kendall_tau(y, huge) == kendall_tau(y, same_order)
+
+
+def mpmath_t_p(t, df):
+    """Two-sided t-test p to 40 digits, with x = df / (df + t^2) formed from the exact t."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        x = df / (df + t * t)
+        return mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, x, regularized=True)
+
+
+def t_reference_grid(df):
+    """(t, 40-digit p) from t = 1e-4 up to where p falls below 1e-250 or t * t overflows.
+
+    Steps of 10% to t = 100, then doublings, plus both sides of t = 1, where the
+    continued fraction switches between I_x(df/2, 1/2) and 1 - I_(1-x)(1/2, df/2).
+    """
+    ts = sorted([1e-4 * 1.1**k for k in range(146)] + [math.nextafter(1.0, 0.0), 1.0]
+                + [100.0 * 2.0**k for k in range(1, 512)])
+    for t in ts:
+        if math.isinf(t * t):
+            return
+        want = mpmath_t_p(t, df)
+        if want < 1e-250:
+            return
+        yield t, want
+
+
+class TestTPValue:
+    @pytest.mark.parametrize("df", [1, 2, 3, 5, 10, 30, 100, 1_000, 10_000, 1_000_000])
+    def test_matches_mpmath(self, df):
+        # df = 1 stops where t * t overflows (t about 1.3e154, p about 5e-155)
+        grid = list(t_reference_grid(df))
+        assert len(grid) > 100
+        worst = max(abs(_t_p_value(t, df) - want) / want for t, want in grid)
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("t", [1e160, 1e200, -1e200, math.inf, -math.inf])
+    @pytest.mark.parametrize("df", [1, 2, 30, 1_000_000])
+    def test_overflowing_square_gives_zero(self, t, df):
+        assert _t_p_value(t, df) == 0.0
+
+    @pytest.mark.parametrize("t", [0.0, -0.0])
+    @pytest.mark.parametrize("df", [1, 2, 30, 1_000_000])
+    def test_zero_gives_one(self, t, df):
+        assert _t_p_value(t, df) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(allow_nan=False), df=st.integers(1, 10**7))
+    def test_is_a_probability(self, t, df):
+        assert 0.0 <= _t_p_value(t, df) <= 1.0
+
+
+class TestNormalP:
+    def test_huge_statistic_gives_zero(self):
+        assert _normal_p(1e200) == 0.0
+        assert _normal_p(-1e200) == 0.0
+
+    def test_zero_gives_one(self):
+        assert _normal_p(0.0) == 1.0
+
+    def test_matches_mpmath(self):
+        for z in (1e-8, 0.5, 1.96, 5.0, 20.0, 37.0):
+            want = mpmath.erfc(mpmath.mpf(z) / mpmath.sqrt(2))
+            assert _normal_p(z) == pytest.approx(float(want), rel=1e-13)
 
 
 class TestRbo:
