@@ -20,7 +20,6 @@ asymptotic series of ln Gamma(a + 1/2) - ln Gamma(a) (DLMF 5.11.8) for large df.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -42,11 +41,10 @@ _BOOT_BLOCK = 64
 # a Gram block whose eigenvalue ratio falls below this is refit by lstsq; the
 # normal equations lose up to about eps / ratio relative, so 1e-4 keeps them near 1e-11
 _MIN_EIGEN_RATIO = 1e-4
-# the continued fraction of I_x(df/2, 1/2) takes at most about 170 terms for df up to 1e12
+# the continued fraction of I_x(df/2, 1/2) takes at most about 160 terms for df up to 1e12
 _MAX_FRACTION_TERMS = 1000
 # modified Lentz: stand-in for a zero denominator
 _LENTZ_TINY = 1e-300
-_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -104,9 +102,10 @@ def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
     """x^a y^b / (B(a, b) I_x(a, b)) for y = 1 - x, by modified Lentz.
 
     The even part of the continued fraction of I_x(a, b) (DiDonato & Morris
-    1992, BFRAC). It converges fast for (a + b) y >= b; its partial
-    denominators add positive terms in x and y, where the plain fraction
-    (Numerical Recipes 6.4) subtracts two terms near one when a is large.
+    1992, BFRAC). It converges fast for (a + b) y >= b. Where _t_p_value
+    calls it, a y - b x + 1 in its partial denominators stays above 1/2; the
+    plain fraction (Numerical Recipes 6.4) forms 1 - (a + b) x / (a + 1)
+    instead, which cancels to O(1/a) as x nears one.
     """
     f = a * (a * y - b * x + 1.0) / (a + 1.0)
     c, d = f, 0.0
@@ -118,7 +117,7 @@ def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
         c = (den + num / c) or _LENTZ_TINY
         step = c * d
         f *= step
-        if abs(step - 1.0) <= _EPS:
+        if abs(step - 1.0) <= math.ulp(1.0):
             break
     return f
 
