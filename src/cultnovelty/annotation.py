@@ -10,6 +10,7 @@ Golden tests pin its behavior; matching a trained tagger is a non-goal.
 from __future__ import annotations
 
 import re
+import unicodedata
 from importlib import resources
 from typing import Mapping, Sequence
 
@@ -42,6 +43,11 @@ STOPWORDS = _load_wordlist("stopwords.txt")
 VERB_LEXICON = _load_wordlist("verbs.txt")
 ADJ_LEXICON = _load_wordlist("adjectives.txt")
 ADV_LEXICON = _load_wordlist("adverbs.txt")
+
+
+def lower_nfc(text: str) -> str:
+    """Lowercase, then NFC: lowercasing can undo NFC (U+03AA U+0301 lowers to U+03CA U+0301)."""
+    return unicodedata.normalize("NFC", text.lower())
 
 
 def coarse_tag(tag: str) -> str:
@@ -140,7 +146,7 @@ class NaiveProvider:
 
     def token_stream(self, raw_text: str) -> list[tuple[str, str]]:
         stream: list[tuple[str, str]] = []
-        for surface in _TOKEN_RE.findall(raw_text.lower()):
+        for surface in _TOKEN_RE.findall(lower_nfc(raw_text)):
             if surface in STOPWORDS or (len(surface) == 1 and surface.isalpha()):
                 stream.append((surface, "OTHER"))
                 continue
@@ -168,7 +174,7 @@ class PreannotatedProvider:
             lemma = entry.get("lemma")
             if lemma is None:
                 lemma = lemmatize(str(entry["text"]), tag)
-            stream.append((str(lemma).lower(), tag))
+            stream.append((lower_nfc(str(lemma)), tag))
         return stream
 
 

@@ -107,7 +107,7 @@ def load_dish_specs(path: Union[str, Path]) -> list[DishSpec]:
                     canonical_name=entry["name"],
                     aliases=entry.get("aliases", []),
                     excluded_patterns=entry.get("excluded", []),
-                    country_overrides={k: check_country(v.upper(), where) for k, v in overrides.items()},
+                    country_overrides={k: check_country(v, where) for k, v in overrides.items()},
                 )
             )
         except KeyError as exc:

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: build, score, analyze, distances, report. Every config field
-can come from a JSON config file (--config), and every one but lambda2,
-which follows --lambda1, from a flag; flags win.
+can come from a JSON config file (--config) and from a flag; flags win.
+lambda2 is no field to set: it follows lambda1.
 Exit codes: 0 success, 1 usage, 2 input error, 3 internal failure.
 """
 
@@ -50,7 +50,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lambda1",
         type=float,
-        help="appearance weight in newness (lambda2 becomes 1 - lambda1)",
+        help="appearance weight in newness, in [0, 1] (lambda2 becomes 1 - lambda1)",
     )
     parser.add_argument("--window", type=int, dest="pmi_window", help="PMI sliding window size")
     parser.add_argument(
@@ -91,17 +91,7 @@ def build_parser() -> _Parser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        f.name: getattr(args, f.name, None)
-        for f in fields(RunConfig)
-        if f.name not in ("lambda1", "lambda2")
-    }
-    if getattr(args, "lambda1", None) is not None:
-        from decimal import Decimal  # imported here, so only a --lambda1 run pays its 0.3 MB
-
-        overrides["lambda1"] = args.lambda1
-        # in decimal, so that 0.8 gives the default 0.2, not 0.19999999999999996
-        overrides["lambda2"] = float(Decimal(1) - Decimal(repr(args.lambda1)))
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig) if f.init}
     return RunConfig.load(args.config, overrides)
 
 

@@ -121,7 +121,7 @@ def load_registry(path: Optional[Union[str, Path]] = None) -> Registry:
         demonyms = entry.get("demonyms", [])
         if not isinstance(demonyms, list) or not all(isinstance(d, str) and d.strip() for d in demonyms):
             raise ParseError(f"{where}: demonyms must be a JSON array of non-blank strings")
-        iso = check_country(entry["iso"].strip().upper(), where)
+        iso = check_country(entry["iso"], where)
         if first.setdefault(iso, i) != i:
             raise ParseError(f"{where}: iso {iso!r} repeats entry {first[iso]}")
         capital, iw = (_coordinate_pair(entry, key, where) for key in ("capital", "iw"))
@@ -201,7 +201,7 @@ def load_distance_matrix(path: Union[str, Path], registry: Registry) -> Distance
                 continue
             if len(row) != 3:
                 raise ParseError(f"{path}:{line_no}: expected 3 columns, got {len(row)}")
-            iso_a, iso_b = row[0].strip().upper(), row[1].strip().upper()
+            iso_a, iso_b = (check_country(iso, f"{path}:{line_no}") for iso in row[:2])
             for iso in (iso_a, iso_b):
                 if iso not in registry:
                     raise ParseError(f"{path}:{line_no}: unknown ISO code {iso!r}")

@@ -7,6 +7,7 @@ dish a record belongs to. Text is NFC-normalized; documents the
 POS filter empties are dropped with a warning rather than scored. Every
 line is checked, but only the records a caller picks are annotated, so at
 build time the dropped-after-filter warnings name dish-matched records only.
+write_documents writes documents back as pre-annotated records (build's documents.jsonl).
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import re
 import unicodedata
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Collection, NamedTuple, Optional, Union
+from typing import Callable, Collection, Iterable, NamedTuple, Optional, Union
 
-from .annotation import NaiveProvider, PreannotatedProvider, coarse_tag, filter_stream
+from .annotation import NaiveProvider, PreannotatedProvider, coarse_tag, filter_stream, lower_nfc
 from .corpus import RETAINED_TAGS, Document
 from .errors import EmptyAfterFilter, ParseError
 
@@ -32,8 +33,8 @@ _SPACE_RE = re.compile(r"\s")  # the characters str.isspace() accepts
 
 
 def normalize_ingredient(raw: str) -> str:
-    """Lowercase, trim, and collapse internal whitespace."""
-    return _WS_RE.sub(" ", raw.strip().lower())
+    """Trim, lowercase, NFC-normalize, and collapse internal whitespace."""
+    return _WS_RE.sub(" ", lower_nfc(raw.strip()))
 
 
 def _nfc(value: str) -> str:
@@ -68,12 +69,13 @@ def json_string(value, where: str, *field) -> str:
 
 
 def check_country(country: str, where: str) -> str:
-    """Return the country if it can name a manifest file; raise ParseError if not.
+    """The code stripped and uppercased; raises ParseError if it cannot name a manifest file.
 
-    Build writes one manifest per (dish, origin) named after the origin, so
-    a path separator, a control character (NUL included), "." or ".."
-    would escape or break that file name.
+    Every country code read passes through here. Build writes one manifest
+    per (dish, origin) named after the origin, so a path separator, a control
+    character (NUL included), "." or ".." would escape or break that file name.
     """
+    country = country.strip().upper()
     if country in (".", "..") or any(
         c in "/\\" or unicodedata.category(c) == "Cc" for c in country
     ):
@@ -130,9 +132,8 @@ def _check_record(record: dict, doc_id: str, provider_name: str, where: str) -> 
             raise ParseError(f"{where}: provider is naive but record has no text")
 
     country = record.get("country")
-    if country is not None:
-        country = json_string(country, where, "country").strip().upper()
-    country = check_country(country or "UNKNOWN", where)
+    country = "" if country is None else json_string(country, where, "country")
+    country = check_country(country, where) or "UNKNOWN"
     ingredients = record.get("ingredients", [])
     if not isinstance(ingredients, list):
         raise ParseError(f"{where}: ingredients must be a JSON array")
@@ -146,7 +147,7 @@ def _annotate(line: _Line) -> Document:
     """The line's document with its POS-filtered body and normalized
     ingredients; raises EmptyAfterFilter."""
     provider = NaiveProvider() if line.entries is None else PreannotatedProvider(line.entries)
-    ingredients = frozenset(normalize_ingredient(_nfc(ing)) for ing in line.ingredients if ing.strip())
+    ingredients = frozenset(normalize_ingredient(ing) for ing in line.ingredients if ing.strip())
     return replace(
         line.doc, body_tokens=filter_stream(provider.token_stream(line.text)), ingredients=ingredients
     )
@@ -155,18 +156,15 @@ def _annotate(line: _Line) -> Document:
 def read_documents(
     path: Union[str, Path],
     provider_name: str = "preannotated",
-    ids: Union[None, Collection[str], Callable[[list[Document]], Collection[str]]] = None,
+    screen: Optional[Callable[[list[Document]], Collection[str]]] = None,
 ) -> list[Document]:
     """Read a JSONL corpus; returns the annotated documents in file order.
 
-    Every line is parsed once and checked for JSON and an id, a non-blank
-    string or an integer, that no earlier line holds. ``ids`` picks the
-    records to annotate: None for all, a collection of NFC ids, or a
-    function that gets every record as a Document with no body tokens yet,
-    in file order, and returns such a collection. The record checks (see
-    _check_record) run on every line, except that a collection limits them
-    to its own ids: score passes one, and its manifests hold the digest of
-    corpus bytes that build checked in full. Build passes its title screen,
+    Every line is parsed once and checked for JSON, an id, a non-blank
+    string or an integer, that no earlier line holds, and the record checks
+    of _check_record. ``screen`` picks the records to annotate: it gets
+    every record as a Document with no body tokens yet, in file order, and
+    returns the ids to keep; None keeps all. Build passes its title screen,
     so its dropped-after-filter warnings name dish-matched records only.
     Documents emptied by the POS filter are dropped and logged. Malformed
     lines and duplicate ids are hard errors with line context.
@@ -174,7 +172,6 @@ def read_documents(
     if provider_name not in PROVIDERS:
         raise ValueError(f"unknown annotation provider {provider_name!r}")
     path = Path(path)
-    check_all = ids is None or callable(ids)
     lines: list[_Line] = []
     seen_ids: set[str] = set()
     with path.open(encoding="utf-8") as fh:
@@ -194,14 +191,12 @@ def read_documents(
             if doc_id in seen_ids:
                 raise ParseError(f"{where}: duplicate document id {doc_id!r}")
             seen_ids.add(doc_id)
-            if check_all or doc_id in ids:
-                lines.append(_check_record(record, doc_id, provider_name, where))
-    if callable(ids):
-        ids = ids([line.doc for line in lines])
+            lines.append(_check_record(record, doc_id, provider_name, where))
+    keep = None if screen is None else screen([line.doc for line in lines])
     documents: list[Document] = []
     dropped = 0
     for line in lines:
-        if ids is not None and line.doc.id not in ids:
+        if keep is not None and line.doc.id not in keep:
             continue
         try:
             documents.append(_annotate(line))
@@ -211,3 +206,16 @@ def read_documents(
     if dropped:
         log.warning("%s: dropped %d empty-after-filter document(s)", path, dropped)
     return documents
+
+
+def write_documents(path: Union[str, Path], docs: Iterable[Document]) -> None:
+    """Write the documents, sorted by id, as the pre-annotated records read_documents reads back.
+
+    Canonical JSON of the id, the sorted ingredients and the {lemma, pos}
+    tokens; title and country are left out, as scoring reads neither.
+    """
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for doc in sorted(docs, key=lambda d: d.id):
+            tokens = [{"lemma": tok.lemma, "pos": tok.pos} for tok in doc.body_tokens]
+            record = {"id": doc.id, "ingredients": sorted(doc.ingredients), "tokens": tokens}
+            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")

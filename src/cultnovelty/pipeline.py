@@ -14,7 +14,8 @@ import json
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from decimal import Decimal
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_type_hints
 
@@ -43,7 +44,7 @@ from .errors import (
     RankDeficient,
     UnknownCountry,
 )
-from .ingest import PROVIDERS, parse_json, read_documents
+from .ingest import PROVIDERS, parse_json, read_documents, write_documents
 from .metrics import NoveltyScores, build_knowledge_space, score_all
 from .stats import kendall_tau, mediate, ols, pearson, rbo
 
@@ -70,6 +71,8 @@ ANALYZE_TABLES = {
 }
 
 MIN_MEDIATION_ROWS = 10
+# beside the manifests: every document they reference, as build annotated it
+DOCUMENTS = "documents.jsonl"
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ class RunConfig:
     """All tunables of a run, with the published defaults pinned in one place."""
 
     lambda1: float = 0.8
-    lambda2: float = 0.2
+    lambda2: float = field(init=False)  # 1 - lambda1 in decimal: 0.8 gives 0.2, not 0.19999999999999996
     pmi_window: int = 3
     rbo_p: float = 0.9
     holdout_fraction: float = 0.3
@@ -93,8 +96,9 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # each check is written to fail on NaN; every message names its key
-        if not abs(self.lambda1 + self.lambda2 - 1.0) <= 1e-12:
-            raise ValueError("lambda1 + lambda2 must equal 1")
+        if not 0.0 <= self.lambda1 <= 1.0:
+            raise ValueError("lambda1 must lie in [0, 1]")
+        object.__setattr__(self, "lambda2", float(Decimal(1) - Decimal(repr(self.lambda1))))
         if self.pmi_window < 2:
             raise ValueError("pmi_window must be >= 2")
         if not 0.0 < self.rbo_p < 1.0:
@@ -126,7 +130,7 @@ class RunConfig:
         if path is not None:
             raw = parse_json(Path(path).read_text("utf-8"), str(path), "config", dict)
             hints = get_type_hints(cls)
-            unknown = set(raw) - set(hints)
+            unknown = set(raw) - {f.name for f in fields(cls) if f.init}
             if unknown:
                 raise ParseError(f"{path}: unknown config keys {sorted(unknown)}")
             for key, value in raw.items():
@@ -224,13 +228,14 @@ def _name_max(directory: Path) -> int:
 
 
 def cmd_build(config: RunConfig) -> dict:
-    """Construct split manifests and the eligibility report.
+    """Construct split manifests, their documents and the eligibility report.
 
     Country detection and dish matching read titles only, so every corpus
     line is checked but only the records they keep are annotated. All
     inputs are read and validated, and every manifest file name checked,
     before the first byte is written, so a missing or malformed input
-    leaves no partial outputs behind.
+    leaves no partial outputs behind. Stale manifests are removed, and the
+    documents the manifests reference go to manifests/documents.jsonl.
     """
     if not config.corpus_path or not config.dish_specs_path:
         raise ParseError("build requires corpus_path and dish_specs_path")
@@ -245,13 +250,14 @@ def cmd_build(config: RunConfig) -> dict:
         return {doc.id for found in matches for doc in found}
 
     # a matched record the POS filter empties is not returned, so it joins no split
-    kept = {doc.id for doc in read_documents(config.corpus_path, config.annotation_provider, ids=screen)}
+    kept = {doc.id: doc for doc in read_documents(config.corpus_path, config.annotation_provider, screen)}
 
     out_dir = Path(config.output_dir)
     manifest_dir = out_dir / "manifests"
     name_max = _name_max(manifest_dir)
     eligibility_rows: list[tuple[str, str, str, str, str]] = []
     manifests: dict[str, dict] = {}
+    referenced: set[str] = set()
     for dish, found in zip(dishes, matches):
         matched = [doc for doc in found if doc.id in kept]
         if not matched:
@@ -284,6 +290,7 @@ def cmd_build(config: RunConfig) -> dict:
                     f"dish {other['product']!r}, origin {other['origin']!r} and dish "
                     f"{dish.canonical_name!r}, origin {origin!r} would share the manifest file {name}"
                 )
+            referenced.update(d.id for d in split.knowledge + split.variations)
             manifests[name] = {
                 "corpus_sha256": corpus_digest,
                 "annotation_provider": config.annotation_provider,
@@ -307,11 +314,15 @@ def cmd_build(config: RunConfig) -> dict:
             )
 
     manifest_dir.mkdir(parents=True, exist_ok=True)
+    for stale in manifest_dir.glob("*.json"):
+        if stale.name not in manifests:
+            stale.unlink()
     written: list[str] = []
     for name, manifest in manifests.items():
         manifest_path = manifest_dir / name
         _write_json(manifest_path, manifest)
         written.append(str(manifest_path))
+    write_documents(manifest_dir / DOCUMENTS, (kept[doc_id] for doc_id in referenced))
     report_path = out_dir / "eligibility.csv"
     _write_csv(
         report_path,
@@ -365,34 +376,22 @@ def _read_manifest(path: Path) -> dict:
     return manifest
 
 
-def _check_built_from(path: Path, manifest: dict, config: RunConfig, corpus_digest: str) -> None:
-    """A manifest's ids hold only for the corpus bytes and the provider that built it."""
-    expected = {"corpus_sha256": corpus_digest, "annotation_provider": config.annotation_provider}
-    for key, want in expected.items():
-        if manifest.get(key) != want:
-            found = repr(manifest[key]) if key in manifest else "missing"
-            raise ParseError(
-                f"{path}: {key} is {found}, but scoring {config.corpus_path} with provider "
-                f"{config.annotation_provider!r} needs {want!r}; rerun build"
-            )
-
-
 def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Path]]] = None) -> Path:
     """Score every manifest's variations; one CSV row per (split, variation).
 
-    Only the documents the manifests reference are annotated, so each
-    manifest must carry the digest of this corpus and this provider.
+    A manifest's documents are the ones build wrote to documents.jsonl in
+    the manifest's directory, annotated as build annotated them, so score
+    reads neither the corpus nor the annotation provider.
     """
-    if not config.corpus_path:
-        raise ParseError("score requires corpus_path")
     out_dir = Path(config.output_dir)
     if manifest_paths is None:
         manifest_paths = sorted((out_dir / "manifests").glob("*.json"))
     manifests = [(path, _read_manifest(path)) for path in sorted(Path(p) for p in manifest_paths)]
-    corpus_digest = _sha256_file(config.corpus_path)
     split_paths: dict[tuple[str, str], Path] = {}
+    documents: dict[Path, dict[str, Document]] = {}  # by documents.jsonl path
+    rows: list[tuple[str, ...]] = []
+    failures = 0
     for manifest_path, manifest in manifests:
-        _check_built_from(manifest_path, manifest, config, corpus_digest)
         product, origin = split = (manifest["product"], manifest["origin"])
         if split in split_paths:
             raise ParseError(
@@ -400,23 +399,14 @@ def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Pa
                 f"{split_paths[split]}"
             )
         split_paths[split] = manifest_path
-    referenced = {
-        doc_id
-        for _, manifest in manifests
-        for doc_id in manifest["knowledge_ids"] + [entry["id"] for entry in manifest["variations"]]
-    }
-    corpus = read_documents(config.corpus_path, config.annotation_provider, ids=referenced)
-    doc_by_id = {d.id: d for d in corpus}
-
-    rows: list[tuple[str, ...]] = []
-    failures = 0
-    for manifest_path, manifest in manifests:
-        product = manifest["product"]
-        origin = manifest["origin"]
+        docs_path = manifest_path.parent / DOCUMENTS
+        if docs_path not in documents:
+            documents[docs_path] = {d.id: d for d in read_documents(docs_path)}
+        doc_by_id = documents[docs_path]
         try:
             knowledge = [doc_by_id[i] for i in manifest["knowledge_ids"]]
         except KeyError as exc:
-            raise ParseError(f"{manifest_path}: unknown knowledge document id {exc}") from exc
+            raise ParseError(f"{manifest_path}: knowledge document id {exc} not in {docs_path}") from exc
         try:
             kb = build_knowledge_space(knowledge, window=config.pmi_window)
         except InsufficientKB as exc:
@@ -425,7 +415,7 @@ def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Pa
         for entry in manifest["variations"]:
             doc = doc_by_id.get(entry["id"])
             if doc is None:
-                log.warning("%s: variation id %r not in corpus, skipped", manifest_path, entry["id"])
+                log.warning("%s: variation id %r not in %s, skipped", manifest_path, entry["id"], docs_path)
                 failures += 1
                 continue
             try:

@@ -26,6 +26,7 @@ LINGUISTIC = str(FIXTURES / "linguistic.csv")
 RELIGIOUS = str(FIXTURES / "religious.csv")
 GOLDEN_SCORES = FIXTURES / "golden" / "scores.csv"
 GOLDEN_MANIFEST = FIXTURES / "golden" / "manifests" / "couscous__MA.json"
+GOLDEN_DOCUMENTS = FIXTURES / "golden" / "manifests" / "documents.jsonl"
 
 FUZZ = settings(max_examples=50, deadline=None)
 
@@ -120,8 +121,9 @@ def test_split_manifest(manifest, dropped):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzzed.json"
         path.write_text(json.dumps(manifest), encoding="utf-8")
-        run(["score", "--corpus", CORPUS, "--manifests", str(path),
-             "--output-dir", str(Path(tmp) / "out")])
+        # the documents score reads sit beside the manifest
+        (Path(tmp) / "documents.jsonl").write_bytes(GOLDEN_DOCUMENTS.read_bytes())
+        run(["score", "--manifests", str(path), "--output-dir", str(Path(tmp) / "out")])
 
 
 with GOLDEN_SCORES.open(newline="", encoding="utf-8") as _fh:
@@ -183,5 +185,5 @@ def test_corpus_record(record, dropped):
                     "--output-dir", str(Path(tmp) / provider)]
             code = main(["build", "--dishes", DISHES] + base)
             assert code in (0, 1, 2)
-            if code == 0:  # score then annotates the record only if a split holds it
+            if code == 0:  # score then reads the record only if a split holds it
                 run(["score"] + base)

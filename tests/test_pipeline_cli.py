@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -46,6 +46,7 @@ RELIGIOUS = str(FIXTURES / "religious.csv")
 #     --linguistic tests/fixtures/linguistic.csv --religious tests/fixtures/religious.csv \
 #     --seed 17 --n-boot 50 --output-dir tests/fixtures/golden; done
 #   rm tests/fixtures/golden/run_manifest.json
+# Build writes the manifests and their documents.jsonl under golden/manifests.
 GOLDEN = FIXTURES / "golden"
 GOLDEN_SCORES = GOLDEN / "scores.csv"
 GOLDEN_EXACT = sorted(
@@ -113,11 +114,22 @@ class TestRunConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RunConfig(lambda1=0.9, lambda2=0.2)
-        with pytest.raises(ValueError):
             RunConfig(pmi_window=1)
         with pytest.raises(ValueError):
             RunConfig(holdout_fraction=1.0)
+
+    @pytest.mark.parametrize("lambda1", [-1.0, -1e-300, 1.0000000000000002, 5.0, math.nan, math.inf])
+    def test_lambda1_outside_the_unit_interval_rejected(self, lambda1):
+        # newness is lambda1 * appearance + (1 - lambda1) * disappearance, a
+        # weighted mean only for lambda1 in [0, 1]
+        with pytest.raises(ValueError, match=r"lambda1 must lie in \[0, 1\]"):
+            RunConfig(lambda1=lambda1)
+
+    @pytest.mark.parametrize("lambda1,lambda2", [(0, 1.0), (1, 0.0)])  # a config file's JSON integers
+    def test_lambda2_is_derived(self, lambda1, lambda2):
+        assert RunConfig(lambda1=lambda1).lambda2 == lambda2
+        with pytest.raises(TypeError):
+            RunConfig(lambda1=lambda1, lambda2=lambda2)
 
 
 class TestFmtFloat:
@@ -182,7 +194,7 @@ class TestBuild:
         config = config_for(tmp_path)
         cmd_build(config)
         digest = hashlib.sha256(Path(CORPUS).read_bytes()).hexdigest()
-        for path in (Path(config.output_dir) / "manifests").iterdir():
+        for path in (Path(config.output_dir) / "manifests").glob("*.json"):
             manifest = json.loads(path.read_text())
             assert manifest["corpus_sha256"] == digest
             assert manifest["annotation_provider"] == "preannotated"
@@ -268,6 +280,43 @@ class TestBuild:
                 "manifest file couscous____X.json") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_documents_hold_each_referenced_document_once_sorted_by_id(self, tmp_path):
+        config = config_for(tmp_path)
+        cmd_build(config)
+        manifest_dir = Path(config.output_dir) / "manifests"
+        referenced = set()
+        for path in manifest_dir.glob("*.json"):
+            manifest = json.loads(path.read_text())
+            referenced |= set(manifest["knowledge_ids"]) | {v["id"] for v in manifest["variations"]}
+        written = ingest.read_documents(manifest_dir / "documents.jsonl")
+        assert [d.id for d in written] == sorted(referenced)
+        corpus = {d.id: d for d in ingest.read_documents(CORPUS)}
+        for doc in written:
+            assert (doc.lemmas, doc.ingredients) == (corpus[doc.id].lemmas, corpus[doc.id].ingredients)
+
+    def test_rebuild_removes_the_manifests_it_does_not_write(self, tmp_path):
+        # score used to score the 7 stale manifests of the first build: 103 rows
+        config = config_for(tmp_path)
+        cmd_build(config)
+        dishes = tmp_path / "biryani.json"
+        dishes.write_text(json.dumps([{"name": "Biryani"}]))
+        (Path(config.output_dir) / "manifests" / "notes.txt").write_text("kept")
+        assert cmd_build(replace(config, dish_specs_path=str(dishes)))["manifests"] == []
+        manifest_dir = Path(config.output_dir) / "manifests"
+        assert sorted(p.name for p in manifest_dir.iterdir()) == ["documents.jsonl", "notes.txt"]
+        assert (manifest_dir / "documents.jsonl").read_text() == ""
+        assert read_csv(cmd_score(config)) == [list(SCORE_COLUMNS)]
+
+    def test_padded_override_country_is_stripped(self, tmp_path):
+        # " ma" used to write couscous__ MA.json, an origin no distance knows
+        dishes = tmp_path / "dishes.json"
+        dishes.write_text(json.dumps([{"name": "Couscous", "country_overrides": {"couscous": " ma"}}]))
+        config = config_for(tmp_path, dish_specs_path=str(dishes))
+        cmd_build(config)
+        names = [p.name for p in (Path(config.output_dir) / "manifests").glob("*.json")]
+        assert names == ["couscous__MA.json"]
+        assert [row[1] for row in read_csv(Path(config.output_dir) / "eligibility.csv")[1:]] == ["MA"]
+
 
 class TestScore:
     def test_columns_and_row_order(self, tmp_path):
@@ -304,7 +353,7 @@ class TestScore:
         config = config_for(tmp_path)
         cmd_build(config)
         referenced = set()
-        for path in (Path(config.output_dir) / "manifests").iterdir():
+        for path in (Path(config.output_dir) / "manifests").glob("*.json"):
             manifest = json.loads(path.read_text())
             referenced |= set(manifest["knowledge_ids"]) | {v["id"] for v in manifest["variations"]}
         calls = []
@@ -317,17 +366,13 @@ class TestScore:
         # is already counted, so a larger window must give the same scores, at once
         built = tmp_path / "built"
         assert main(["build", "--corpus", CORPUS, "--dishes", DISHES, "--output-dir", str(built)]) == 0
-        manifests = sorted(str(p) for p in (built / "manifests").iterdir())
-        referenced = set()
-        for path in manifests:
-            manifest = json.loads(Path(path).read_text())
-            referenced |= set(manifest["knowledge_ids"]) | {v["id"] for v in manifest["variations"]}
-        longest = max(len(doc.lemmas) for doc in ingest.read_documents(CORPUS, "preannotated", referenced))
+        manifests = sorted(str(p) for p in (built / "manifests").glob("*.json"))
+        longest = max(len(doc.lemmas) for doc in ingest.read_documents(built / "manifests" / "documents.jsonl"))
         scores = []
         for window in (longest, 10**9):
             out = tmp_path / f"window_{window}"
             done = subprocess.run(
-                [sys.executable, "-m", "cultnovelty.cli", "score", "--corpus", CORPUS,
+                [sys.executable, "-m", "cultnovelty.cli", "score",
                  "--window", str(window), "--manifests", *manifests, "--output-dir", str(out)],
                 env=src_env(), timeout=60, capture_output=True, text=True,
             )
@@ -335,17 +380,9 @@ class TestScore:
             scores.append((out / "scores.csv").read_bytes())
         assert scores[0] == scores[1]
 
-    def test_empty_manifest_set_still_parses_every_line(self, tmp_path, capsys):
-        corpus, line = write_corpus_with(tmp_path, bad_record())
-        Path(corpus).write_text(Path(corpus).read_text() + "{not json\n")
-        (tmp_path / "out" / "manifests").mkdir(parents=True)
-        assert main(["score", "--corpus", corpus, "--output-dir", str(tmp_path / "out")]) == 2
-        assert f"{corpus}:{line + 1}: invalid JSON" in capsys.readouterr().err
 
-
-class TestCorpusDigest:
-    """score annotates only what the manifests reference, so a manifest must
-    come from this corpus and provider: otherwise exit 2, no scores.csv."""
+class TestScoreReadsBuildOutputs:
+    """score reads the manifests and the documents.jsonl beside them, never the corpus."""
 
     @pytest.fixture
     def built(self, tmp_path):
@@ -355,38 +392,62 @@ class TestCorpusDigest:
         assert main(["build", "--corpus", str(corpus), "--dishes", DISHES, "--output-dir", str(out)]) == 0
         return corpus, out
 
-    def assert_rejected(self, argv, corpus, out, capsys):
-        capsys.readouterr()
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert str(out / "manifests" / "couscous__GR.json") in err  # the first manifest
-        assert str(corpus) in err and "rerun build" in err
+    def test_scores_survive_an_edited_then_deleted_corpus(self, built):
+        corpus, out = built
+        assert main(["score", "--corpus", str(corpus), "--output-dir", str(out)]) == 0
+        want = (out / "scores.csv").read_bytes()
+        corpus.write_text("{not json\n")
+        assert main(["score", "--output-dir", str(out)]) == 0
+        assert (out / "scores.csv").read_bytes() == want
+        corpus.unlink()
+        assert main(["score", "--output-dir", str(out)]) == 0
+        assert (out / "scores.csv").read_bytes() == want
+
+    def test_manifest_without_documents_beside_it_exits_two(self, built, tmp_path, capsys):
+        _, out = built
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        manifest = elsewhere / "couscous__MA.json"
+        manifest.write_bytes((out / "manifests" / "couscous__MA.json").read_bytes())
+        code = main(["score", "--manifests", str(manifest), "--output-dir", str(elsewhere)])
+        assert code == 2
+        assert str(elsewhere / "documents.jsonl") in capsys.readouterr().err
+        assert not (elsewhere / "scores.csv").exists()
+
+    def test_malformed_documents_line_exits_two_with_path_and_line(self, built, capsys):
+        _, out = built
+        documents = out / "manifests" / "documents.jsonl"
+        n_lines = len(documents.read_text().splitlines())
+        with documents.open("a") as fh:
+            fh.write("{not json\n")
+        assert main(["score", "--output-dir", str(out)]) == 2
+        assert f"{documents}:{n_lines + 1}: invalid JSON" in capsys.readouterr().err
         assert not (out / "scores.csv").exists()
-        return err
 
-    def test_corpus_edited_after_build(self, built, capsys):
-        corpus, out = built
-        # an unreferenced record that would fail annotation, which score now skips
-        with corpus.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(bad_record(id="late", tokens="abc")) + "\n")
-        self.assert_rejected(["score", "--corpus", str(corpus), "--output-dir", str(out)],
-                             corpus, out, capsys)
+    def without_document(self, out, doc_id):
+        documents = out / "manifests" / "documents.jsonl"
+        lines = documents.read_text().splitlines(keepends=True)
+        documents.write_text("".join(line for line in lines if json.loads(line)["id"] != doc_id))
+        return documents
 
-    def test_other_provider(self, built, capsys):
-        corpus, out = built
-        self.assert_rejected(["score", "--corpus", str(corpus), "--provider", "naive",
-                              "--output-dir", str(out)], corpus, out, capsys)
+    def test_absent_knowledge_document_exits_two(self, built, capsys):
+        _, out = built
+        path = out / "manifests" / "couscous__MA.json"
+        doc_id = json.loads(path.read_text())["knowledge_ids"][0]
+        documents = self.without_document(out, doc_id)
+        assert main(["score", "--manifests", str(path), "--output-dir", str(out)]) == 2
+        assert f"{path}: knowledge document id {doc_id!r} not in {documents}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["corpus_sha256", "annotation_provider"])
-    def test_manifest_without_key(self, built, capsys, key):
-        corpus, out = built
-        path = out / "manifests" / "couscous__GR.json"
-        manifest = json.loads(path.read_text())
-        del manifest[key]
-        path.write_text(json.dumps(manifest))
-        err = self.assert_rejected(["score", "--corpus", str(corpus), "--output-dir", str(out)],
-                                   corpus, out, capsys)
-        assert f"{key} is missing" in err
+    def test_absent_variation_document_is_skipped_with_a_warning(self, built, caplog):
+        _, out = built
+        path = out / "manifests" / "couscous__MA.json"
+        variations = json.loads(path.read_text())["variations"]
+        doc_id = variations[0]["id"]
+        documents = self.without_document(out, doc_id)
+        with caplog.at_level(logging.WARNING, logger="cultnovelty"):
+            assert main(["score", "--manifests", str(path), "--output-dir", str(out)]) == 0
+        assert f"{path}: variation id {doc_id!r} not in {documents}, skipped" in caplog.text
+        assert len(read_csv(out / "scores.csv")) - 1 == len(variations) - 1
 
 
 class TestAnalyze:
@@ -450,7 +511,7 @@ class TestAnalyze:
         assert (analyzed / name).read_bytes() == (GOLDEN / name).read_bytes()
 
     def test_manifest_set_matches_golden(self, analyzed):
-        got, want = ([p.name for p in (d / "manifests").iterdir()] for d in (analyzed, GOLDEN))
+        got, want = ([p.name for p in (d / "manifests").glob("*.json")] for d in (analyzed, GOLDEN))
         assert sorted(got) == sorted(want)
 
     def test_mediation_matches_golden(self, analyzed):
@@ -622,11 +683,13 @@ class TestCli:
         "text,message",
         [('{"holdout_fraction": 1.5}', "holdout_fraction must lie in [0, 1)"),
          ('{"rbo_p": 0}', "rbo_p must lie strictly inside (0, 1)"),
-         ('{"lambda1": NaN}', "lambda1 + lambda2 must equal 1"),
+         ('{"lambda1": NaN}', "lambda1 must lie in [0, 1]"),
+         ('{"lambda1": 5}', "lambda1 must lie in [0, 1]"),
          ('{"annotation_provider": "spacy"}', "annotation_provider must be 'preannotated' or 'naive'"),
          ('{"registry_path": "a\\u0000b"}', "registry_path must not contain a NUL character"),
          ('{"seed": -1}', "seed must be >= 0")],
-        ids=["holdout", "rbo_p", "nan_lambda", "provider", "nul_in_path", "negative_seed"],
+        ids=["holdout", "rbo_p", "nan_lambda", "lambda_above_one", "provider", "nul_in_path",
+             "negative_seed"],
     )
     def test_config_value_out_of_range_exits_two(self, tmp_path, capsys, text, message):
         config_path = tmp_path / "config.json"
@@ -763,10 +826,23 @@ class TestCli:
         assert f"{dishes}: dish entry 1: {key} holds an empty or blank string" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_every_config_field_but_lambda2_has_a_flag(self):
+    def test_every_settable_config_field_has_a_flag(self):
         args = build_parser().parse_args(["build"])
-        assert {f.name for f in fields(RunConfig)} - set(vars(args)) == {"lambda2"}
+        assert {f.name for f in fields(RunConfig) if f.init} <= set(vars(args))
         assert _config_from_args(args) == RunConfig()
+
+    @pytest.mark.parametrize("lambda1", ["5", "-1", "nan"])
+    def test_lambda1_flag_outside_the_unit_interval_exits_one(self, tmp_path, capsys, lambda1):
+        # --lambda1 5 used to score newness in [-0.114, 2.099]
+        assert main(["score", "--lambda1", lambda1, "--output-dir", str(tmp_path / "out")]) == 1
+        assert "bad configuration: lambda1 must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_lambda2_exits_two(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"lambda2": 0.2}')
+        assert main(["score", "--config", str(config_path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"{config_path}: unknown config keys ['lambda2']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lambda1,lambda2", [("0.8", 0.2), ("0.7", 0.3), ("0.1", 0.9), ("1", 0.0)])
     def test_lambda2_is_the_decimal_complement(self, lambda1, lambda2):
