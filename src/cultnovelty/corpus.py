@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import EmptyCorpus, EmptyDocument
@@ -51,7 +52,7 @@ class Document:
             if tok.pos not in RETAINED_TAGS:
                 raise ValueError(f"non-content tag {tok.pos} in body of {self.id}")
 
-    @property
+    @cached_property  # computed once per document; the dataclass is frozen, so it cannot go stale
     def lemmas(self) -> tuple[str, ...]:
         return tuple(tok.lemma for tok in self.body_tokens)
 

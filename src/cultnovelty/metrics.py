@@ -21,9 +21,14 @@ once, and the space holds its array form: the sorted vocabulary as a
 lemma -> column index, the documents' probabilities as a dense n x V
 matrix, the pooled aggregate distribution as a V-vector, and each
 document's halved probabilities (see below). The PPMI matrix carries its
-per-lemma rows, already L1-normalized (``ppmi.PpmiRow``). ``compare`` lays
-one variation out against that vocabulary; ``score_all`` calls it once and
-hands the ``Comparison`` to newness, uniqueness and difference. The
+per-lemma rows, already L1-normalized (``ppmi.PpmiRow``). ``lay_out``
+lays one variation out once, whatever it is scored against: its distinct
+lemmas, their read-only probabilities and halves, and its PPMI matrix at
+the window. ``compare`` places that layout in one knowledge space's
+vocabulary; ``score_all`` calls it once and hands the ``Comparison`` to
+newness, uniqueness and difference, and the layout's PPMI matrix to the
+two surprises. A variation scored against several knowledge spaces is
+laid out once and counted, and its PPMI matrix built, only then. The
 leave-one-out newness threshold takes each fold's "rest" counts as the
 pooled counts minus the held-out row, a block of folds at a time; the
 pairwise difference threshold compares each document with all later ones
@@ -88,15 +93,29 @@ class KnowledgeSpace:
     agg_total: int = field(repr=False, compare=False)
 
 
+class Variation(NamedTuple):
+    """One variation laid out once, for every knowledge space of its window."""
+
+    doc: Document
+    window: int
+    words: tuple[str, ...]  # distinct lemmas, in order of first occurrence
+    probs: np.ndarray  # read-only: each word's count / the token count
+    halves: tuple[float, ...]  # 0.5 * each of probs
+    ppmi: PpmiMatrix
+
+    @property
+    def id(self) -> str:
+        return self.doc.id
+
+
 @dataclass(frozen=True)
 class Comparison:
-    """One variation laid out against one knowledge space's vocabulary."""
+    """One variation's layout placed in one knowledge space's vocabulary."""
 
     kb: KnowledgeSpace
-    word_count: int  # distinct lemmas of the variation
+    variation: Variation
     columns: np.ndarray  # knowledge-space columns of the variation's known lemmas
     known: np.ndarray  # the variation's probabilities of those lemmas
-    halves: list[float]  # 0.5 * each of the variation's probabilities
     p: np.ndarray  # the aggregate over the knowledge vocabulary, then 0 per unseen lemma
     q: np.ndarray  # the variation over the same positions
     terms: np.ndarray  # proportional-weight per-word terms of p against q
@@ -212,31 +231,42 @@ def build_knowledge_space(docs: Iterable[Document], window: int = DEFAULT_WINDOW
     )
 
 
-def compare(kb: KnowledgeSpace, variation: Document) -> Comparison:
-    """The variation laid out against kb's vocabulary, as newness, uniqueness and difference read it."""
-    if not variation.body_tokens:
-        raise EmptyDocument(f"variation {variation.id} has no body tokens")
-    lemmas = variation.lemmas
-    counts = Counter(lemmas)
-    words = list(counts)
-    probs = np.array([counts[w] for w in words]) / len(lemmas)
-    columns = [kb.index.get(w) for w in words]
+def lay_out(doc: Document, window: int = DEFAULT_WINDOW) -> Variation:
+    """The variation's words, probabilities and PPMI matrix, as every knowledge space reads them."""
+    if not doc.body_tokens:
+        raise EmptyDocument(f"variation {doc.id} has no body tokens")
+    counts = Counter(doc.lemmas)
+    probs = np.array(list(counts.values())) / len(doc.lemmas)
+    probs.flags.writeable = False
+    return Variation(
+        doc=doc,
+        window=window,
+        words=tuple(counts),
+        probs=probs,
+        halves=tuple((0.5 * probs).tolist()),
+        ppmi=build_ppmi(doc, window=window),
+    )
+
+
+def compare(kb: KnowledgeSpace, v: Variation) -> Comparison:
+    """The variation placed in kb's vocabulary, as newness, uniqueness and difference read it."""
+    columns = [kb.index.get(w) for w in v.words]
     is_known = np.array([c is not None for c in columns], dtype=bool)
     known_columns = np.array([c for c in columns if c is not None], dtype=np.intp)
-    unseen = probs[~is_known]
+    unseen = v.probs[~is_known]
     p = np.concatenate((kb.agg, np.zeros(len(unseen))))
     q = np.concatenate((np.zeros(len(kb.agg)), unseen))
-    q[known_columns] = probs[is_known]
-    total = kb.agg_total + len(lemmas)
+    q[known_columns] = v.probs[is_known]
+    length = len(v.doc.lemmas)
+    total = kb.agg_total + length
     return Comparison(
         kb=kb,
-        word_count=len(words),
+        variation=v,
         columns=known_columns,
-        known=probs[is_known],
-        halves=(0.5 * probs).tolist(),
+        known=v.probs[is_known],
         p=p,
         q=q,
-        terms=per_word_terms(p, q, kb.agg_total / total, len(lemmas) / total),
+        terms=per_word_terms(p, q, kb.agg_total / total, length / total),
     )
 
 
@@ -257,7 +287,7 @@ def newness(
     over = c.terms > c.kb.epsilon_newness
     appeared = int(np.count_nonzero(over & (c.q > c.p)))
     disappeared = int(np.count_nonzero(over & (c.p > c.q)))
-    appearance = appeared / c.word_count
+    appearance = appeared / len(c.variation.words)
     disappearance = disappeared / len(c.kb.agg)
     return appearance, disappearance, lambda1 * appearance + lambda2 * disappearance
 
@@ -279,7 +309,7 @@ def difference(c: Comparison) -> float:
     doc_probs = c.kb.doc_probs[:, c.columns]
     owner, shared = np.nonzero(doc_probs)
     distances = equal_weight_jsds(
-        [(doc_half, c.halves) for doc_half in c.kb.doc_halves],
+        [(doc_half, c.variation.halves) for doc_half in c.kb.doc_halves],
         owner,
         doc_probs[owner, shared],
         c.known[shared],
@@ -295,6 +325,7 @@ def new_surprise(kb_ppmi: PpmiMatrix, var_ppmi: PpmiMatrix) -> float:
     """
     if not var_ppmi.pairs:
         return 0.0
+    # one lookup per variation pair: a keys-view difference would walk every knowledge pair
     return sum(pair not in kb_ppmi.pairs for pair in var_ppmi.pairs) / len(var_ppmi.pairs)
 
 
@@ -325,20 +356,23 @@ def divergent_surprise(kb_ppmi: PpmiMatrix, var_ppmi: PpmiMatrix) -> float:
 
 def score_all(
     kb: KnowledgeSpace,
-    variation: Document,
+    v: Variation,
     lambda1: float = DEFAULT_LAMBDA1,
     lambda2: float = DEFAULT_LAMBDA2,
 ) -> NoveltyScores:
-    """Score one variation on all five metrics against a calibrated knowledge space."""
-    c = compare(kb, variation)
+    """Score one laid-out variation on all five metrics against a calibrated knowledge space."""
+    if v.window != kb.window:
+        raise ValueError(
+            f"variation {v.id} is laid out at window {v.window}, the knowledge space at {kb.window}"
+        )
+    c = compare(kb, v)
     appearance, disappearance, combined = newness(c, lambda1, lambda2)
-    var_ppmi = build_ppmi(variation, window=kb.window)
     return NoveltyScores(
         appearance=appearance,
         disappearance=disappearance,
         newness=combined,
         uniqueness=uniqueness(c),
         difference=difference(c),
-        new_surprise=new_surprise(kb.ppmi, var_ppmi),
-        divergent_surprise=divergent_surprise(kb.ppmi, var_ppmi),
+        new_surprise=new_surprise(kb.ppmi, v.ppmi),
+        divergent_surprise=divergent_surprise(kb.ppmi, v.ppmi),
     )

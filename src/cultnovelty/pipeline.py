@@ -15,7 +15,6 @@ import logging
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
-from decimal import Decimal
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_type_hints
 
@@ -45,7 +44,7 @@ from .errors import (
     UnknownCountry,
 )
 from .ingest import PROVIDERS, parse_json, read_documents, write_documents
-from .metrics import NoveltyScores, build_knowledge_space, score_all
+from .metrics import KnowledgeSpace, NoveltyScores, Variation, build_knowledge_space, lay_out, score_all
 from .stats import kendall_tau, mediate, ols, pearson, rbo
 
 log = logging.getLogger(__name__)
@@ -75,6 +74,21 @@ MIN_MEDIATION_ROWS = 10
 DOCUMENTS = "documents.jsonl"
 
 
+def _decimal_complement(x: float) -> float:
+    """1 - x, taking x as the decimal its repr shows, rounded once to a float.
+
+    Integer arithmetic on the repr's digits, so that no stage imports
+    ``decimal`` (``fractions`` imports it too) for this one value.
+    """
+    mantissa, _, exponent = repr(float(x)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    scale = len(fraction) - int(exponent or 0)  # x = digits / 10**scale
+    digits = int(whole + fraction)
+    if scale < 0:
+        digits, scale = digits * 10**-scale, 0
+    return (10**scale - digits) / 10**scale  # int / int rounds the exact quotient once
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """All tunables of a run, with the published defaults pinned in one place."""
@@ -98,7 +112,7 @@ class RunConfig:
         # each check is written to fail on NaN; every message names its key
         if not 0.0 <= self.lambda1 <= 1.0:
             raise ValueError("lambda1 must lie in [0, 1]")
-        object.__setattr__(self, "lambda2", float(Decimal(1) - Decimal(repr(self.lambda1))))
+        object.__setattr__(self, "lambda2", _decimal_complement(self.lambda1))
         if self.pmi_window < 2:
             raise ValueError("pmi_window must be >= 2")
         if not 0.0 < self.rbo_p < 1.0:
@@ -338,9 +352,9 @@ def cmd_build(config: RunConfig) -> dict:
 # score
 
 
-def _score_one(kb, doc: Document, config: RunConfig) -> tuple[str, ...]:
-    scores = score_all(kb, doc, config.lambda1, config.lambda2)
-    return tuple(fmt_float(v) for v in (*scores, *control_variables(doc, kb)))
+def _score_one(kb: KnowledgeSpace, v: Variation, config: RunConfig) -> tuple[str, ...]:
+    scores = score_all(kb, v, config.lambda1, config.lambda2)
+    return tuple(fmt_float(value) for value in (*scores, *control_variables(v.doc, kb)))
 
 
 def _read_manifest(path: Path) -> dict:
@@ -382,6 +396,14 @@ def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Pa
     A manifest's documents are the ones build wrote to documents.jsonl in
     the manifest's directory, annotated as build annotated them, so score
     reads neither the corpus nor the annotation provider.
+
+    Every manifest is read and checked first. Then scoring goes dish by
+    dish: the dish's knowledge spaces are built, and each of its distinct
+    variations (documents file, id) is laid out once and scored against
+    every knowledge space of the dish that lists it. A layout is dropped
+    after its last row and the knowledge spaces after their dish, so
+    besides the documents the stage holds one dish's knowledge spaces and
+    one layout at a time. Rows are written sorted, whatever the order.
     """
     out_dir = Path(config.output_dir)
     if manifest_paths is None:
@@ -389,7 +411,9 @@ def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Pa
     manifests = [(path, _read_manifest(path)) for path in sorted(Path(p) for p in manifest_paths)]
     split_paths: dict[tuple[str, str], Path] = {}
     documents: dict[Path, dict[str, Document]] = {}  # by documents.jsonl path
-    rows: list[tuple[str, ...]] = []
+    # product -> (manifest path, origin, knowledge documents, variations) of each split,
+    # where variations maps (documents.jsonl path, id) to the variation's country
+    dishes: dict[str, list[tuple[Path, str, list[Document], dict[tuple[Path, str], str]]]] = {}
     failures = 0
     for manifest_path, manifest in manifests:
         product, origin = split = (manifest["product"], manifest["origin"])
@@ -407,22 +431,36 @@ def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Pa
             knowledge = [doc_by_id[i] for i in manifest["knowledge_ids"]]
         except KeyError as exc:
             raise ParseError(f"{manifest_path}: knowledge document id {exc} not in {docs_path}") from exc
-        try:
-            kb = build_knowledge_space(knowledge, window=config.pmi_window)
-        except InsufficientKB as exc:
-            raise ParseError(f"{manifest_path}: knowledge_ids: {exc}") from exc
-
+        variations = {}
         for entry in manifest["variations"]:
-            doc = doc_by_id.get(entry["id"])
-            if doc is None:
+            if entry["id"] in doc_by_id:
+                variations[docs_path, entry["id"]] = entry["country"]
+            else:
                 log.warning("%s: variation id %r not in %s, skipped", manifest_path, entry["id"], docs_path)
                 failures += 1
-                continue
+        dishes.setdefault(product, []).append((manifest_path, origin, knowledge, variations))
+
+    rows: list[tuple[str, ...]] = []
+    for product, splits in dishes.items():
+        # each variation key -> the (origin, knowledge space, variation country) that list it
+        listings: dict[tuple[Path, str], list[tuple[str, KnowledgeSpace, str]]] = {}
+        for manifest_path, origin, knowledge, variations in splits:
             try:
-                rows.append((product, origin, doc.id, entry["country"]) + _score_one(kb, doc, config))
-            except CultNoveltyError as exc:
-                log.warning("scoring %s against %s/%s failed: %s", doc.id, product, origin, exc)
-                failures += 1
+                kb = build_knowledge_space(knowledge, window=config.pmi_window)
+            except InsufficientKB as exc:
+                raise ParseError(f"{manifest_path}: knowledge_ids: {exc}") from exc
+            for key, country in variations.items():
+                listings.setdefault(key, []).append((origin, kb, country))
+        for (docs_path, doc_id), listed in listings.items():
+            v = None  # laid out at its first row; a failed layout fails each of its rows
+            for origin, kb, country in listed:
+                try:
+                    if v is None:
+                        v = lay_out(documents[docs_path][doc_id], config.pmi_window)
+                    rows.append((product, origin, doc_id, country) + _score_one(kb, v, config))
+                except CultNoveltyError as exc:
+                    log.warning("scoring %s against %s/%s failed: %s", doc_id, product, origin, exc)
+                    failures += 1
 
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     out_dir.mkdir(parents=True, exist_ok=True)

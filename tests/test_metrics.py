@@ -12,6 +12,7 @@ from cultnovelty.metrics import (
     compare,
     difference,
     divergent_surprise,
+    lay_out,
     new_surprise,
     newness,
     score_all,
@@ -74,25 +75,25 @@ class TestNewness:
     def test_replica_scores_zero(self):
         kb = kb_two()
         var = make_doc("v", AAB + ABB)  # same pooled distribution as the aggregate
-        appearance, disappearance, combined = newness(compare(kb, var))
+        appearance, disappearance, combined = newness(compare(kb, lay_out(var)))
         assert (appearance, disappearance, combined) == (0.0, 0.0, 0.0)
 
     def test_lambda_weighting_identity(self):
         kb = kb_two()
         var = make_doc("v", ["a", "c", "c"])
-        appearance, disappearance, combined = newness(compare(kb, var))
+        appearance, disappearance, combined = newness(compare(kb, lay_out(var)))
         assert combined == pytest.approx(0.8 * appearance + 0.2 * disappearance, abs=1e-12)
 
     def test_all_new_words_full_appearance(self):
         kb = kb_two()
-        _, _, _ = newness(compare(kb, make_doc("v", ["c", "c", "c"])))
-        appearance, disappearance, combined = newness(compare(kb, make_doc("v", ["c", "c", "c"])))
+        _, _, _ = newness(compare(kb, lay_out(make_doc("v", ["c", "c", "c"]))))
+        appearance, disappearance, combined = newness(compare(kb, lay_out(make_doc("v", ["c", "c", "c"]))))
         assert appearance == 1.0
 
     def test_matches_oracle(self):
         kb = kb_two()
         var = make_doc("v", ["a", "c", "b", "c"])
-        mine = newness(compare(kb, var))
+        mine = newness(compare(kb, lay_out(var)))
         expected = oracle_newness([AAB, ABB], ["a", "c", "b", "c"])
         for got, want in zip(mine, expected):
             assert got == pytest.approx(want, abs=1e-9)
@@ -100,26 +101,26 @@ class TestNewness:
     def test_lambda_must_sum_to_one(self):
         kb = kb_two()
         with pytest.raises(ValueError):
-            newness(compare(kb, make_doc("v", ["a"])), lambda1=0.8, lambda2=0.3)
+            newness(compare(kb, lay_out(make_doc("v", ["a"]))), lambda1=0.8, lambda2=0.3)
 
     def test_empty_variation(self):
-        with pytest.raises(EmptyDocument):
-            newness(compare(kb_two(), make_doc("v", [])))
+        with pytest.raises(EmptyDocument, match="variation v has no body tokens"):
+            newness(compare(kb_two(), lay_out(make_doc("v", []))))
 
 
 class TestUniqueness:
     def test_replica_zero(self):
         kb = kb_two()
-        assert uniqueness(compare(kb, make_doc("v", AAB + ABB))) == 0.0
+        assert uniqueness(compare(kb, lay_out(make_doc("v", AAB + ABB)))) == 0.0
 
     def test_disjoint_equal_totals_is_one(self):
         kb = kb_two()  # six knowledge tokens
-        assert uniqueness(compare(kb, make_doc("v", ["c"] * 6))) == 1.0
+        assert uniqueness(compare(kb, lay_out(make_doc("v", ["c"] * 6)))) == 1.0
 
     def test_matches_oracle_with_proportional_weights(self):
         kb = kb_two()
         var = make_doc("v", ["a", "c"])
-        assert uniqueness(compare(kb, var)) == pytest.approx(
+        assert uniqueness(compare(kb, lay_out(var))) == pytest.approx(
             oracle_uniqueness([AAB, ABB], ["a", "c"]), abs=1e-12
         )
 
@@ -141,16 +142,16 @@ class TestDifferenceThreshold:
 class TestDifference:
     def test_identical_everything_zero(self):
         kb = build_knowledge_space([make_doc("1", AAB), make_doc("2", AAB)])
-        assert difference(compare(kb, make_doc("v", AAB))) == 0.0
+        assert difference(compare(kb, lay_out(make_doc("v", AAB)))) == 0.0
 
     def test_disjoint_variation_full(self):
         kb = build_knowledge_space([make_doc("1", AAB), make_doc("2", AAB)])
-        assert difference(compare(kb, make_doc("v", ["z", "z"]))) == 1.0
+        assert difference(compare(kb, lay_out(make_doc("v", ["z", "z"])))) == 1.0
 
     def test_three_doc_fixture_oracle(self):
         docs = [make_doc("1", AAB), make_doc("2", ABB), make_doc("3", ["a", "b"])]
         kb = build_knowledge_space(docs)
-        assert difference(compare(kb, make_doc("v", ["a", "c"]))) == pytest.approx(
+        assert difference(compare(kb, lay_out(make_doc("v", ["a", "c"])))) == pytest.approx(
             oracle_difference([AAB, ABB, ["a", "b"]], ["a", "c"]), abs=1e-12
         )
 
@@ -216,21 +217,21 @@ class TestSurprise:
 class TestScoreAll:
     def test_replica_anchors(self):
         kb = kb_two()
-        scores = score_all(kb, make_doc("v", AAB + ABB))
+        scores = score_all(kb, lay_out(make_doc("v", AAB + ABB)))
         assert scores.newness == 0.0
         assert scores.uniqueness == 0.0
 
     def test_composition_coherence(self):
         kb = kb_two()
         var = make_doc("v", ["a", "c", "b"])
-        scores = score_all(kb, var)
-        appearance, disappearance, combined = newness(compare(kb, var))
+        scores = score_all(kb, lay_out(var))
+        appearance, disappearance, combined = newness(compare(kb, lay_out(var)))
         var_ppmi = build_ppmi(var, window=kb.window)
         assert scores.appearance == appearance
         assert scores.disappearance == disappearance
         assert scores.newness == combined
-        assert scores.uniqueness == uniqueness(compare(kb, var))
-        assert scores.difference == difference(compare(kb, var))
+        assert scores.uniqueness == uniqueness(compare(kb, lay_out(var)))
+        assert scores.difference == difference(compare(kb, lay_out(var)))
         assert scores.new_surprise == new_surprise(kb.ppmi, var_ppmi)
         assert scores.divergent_surprise == divergent_surprise(kb.ppmi, var_ppmi)
 
@@ -238,7 +239,7 @@ class TestScoreAll:
         rng = random.Random(1)
         for _ in range(20):
             kb, var = random_kb_and_variation(rng)
-            scores = score_all(kb, var)
+            scores = score_all(kb, lay_out(var))
             assert scores.newness == pytest.approx(
                 0.8 * scores.appearance + 0.2 * scores.disappearance, abs=1e-12
             )
@@ -247,7 +248,7 @@ class TestScoreAll:
         rng = random.Random(2)
         for _ in range(50):
             kb, var = random_kb_and_variation(rng)
-            for value in score_all(kb, var):
+            for value in score_all(kb, lay_out(var)):
                 assert 0.0 <= value <= 1.0
 
     def test_uniform_duplication_leaves_distribution_metrics_unchanged(self):
@@ -255,10 +256,12 @@ class TestScoreAll:
         kb2 = build_knowledge_space([make_doc("k1", AAB * 3), make_doc("k2", ABB * 3)])
         var = make_doc("v", ["a", "c"])
         var2 = make_doc("v", ["a", "c"] * 3)
-        assert uniqueness(compare(kb, var)) == pytest.approx(uniqueness(compare(kb2, var2)), abs=1e-12)
-        assert difference(compare(kb, var)) == difference(compare(kb2, var2))
-        n1 = newness(compare(kb, var))
-        n2 = newness(compare(kb2, var2))
+        assert uniqueness(compare(kb, lay_out(var))) == pytest.approx(
+            uniqueness(compare(kb2, lay_out(var2))), abs=1e-12
+        )
+        assert difference(compare(kb, lay_out(var))) == difference(compare(kb2, lay_out(var2)))
+        n1 = newness(compare(kb, lay_out(var)))
+        n2 = newness(compare(kb2, lay_out(var2)))
         assert n1[0] == pytest.approx(n2[0], abs=1e-12)
         assert n1[1] == pytest.approx(n2[1], abs=1e-12)
 
@@ -266,10 +269,35 @@ class TestScoreAll:
         rng = random.Random(4)
         for _ in range(30):
             kb, var = random_kb_and_variation(rng)
-            value = uniqueness(compare(kb, var))
+            value = uniqueness(compare(kb, lay_out(var)))
             aggregate = dict(zip(kb.index, kb.agg.tolist()))
             same = TokenDistribution.from_counts(Counter(var.lemmas)).probs == aggregate
             assert (value == 0.0) == same
+
+
+class TestVariationLayout:
+    def test_layout_is_read_only(self):
+        v = lay_out(make_doc("v", ["a", "c", "a"]))
+        assert v.probs.flags.writeable is False
+        with pytest.raises(ValueError):
+            v.probs[0] = 0.0
+        assert (v.id, v.words, v.probs.tolist(), v.halves) == ("v", ("a", "c"), [2 / 3, 1 / 3], (1 / 3, 1 / 6))
+
+    def test_scores_do_not_depend_on_the_order_of_layouts_and_spaces(self):
+        rng = random.Random(6)
+        kbs = [random_kb_and_variation(rng)[0] for _ in range(4)]
+        layouts = [lay_out(random_kb_and_variation(rng)[1]) for _ in range(5)]
+        forward = [[score_all(kb, v) for kb in kbs] for v in layouts]
+        backward = [[score_all(kb, v) for kb in reversed(kbs)] for v in reversed(layouts)]
+        assert [row[::-1] for row in backward[::-1]] == forward
+        fresh = [[score_all(kb, lay_out(v.doc)) for kb in kbs] for v in layouts]
+        assert fresh == forward
+
+    def test_window_mismatch_rejected(self):
+        kb = kb_two(window=3)
+        with pytest.raises(ValueError, match="window 4, the knowledge space at 3"):
+            score_all(kb, lay_out(make_doc("v", AAB), window=4))
+        score_all(kb_two(window=4), lay_out(make_doc("v", AAB), window=4))  # matching windows score
 
 
 class TestKnowledgeSpace:

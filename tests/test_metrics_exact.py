@@ -9,7 +9,7 @@ including on exact ties at the strict ``>`` of newness and difference.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cultnovelty.metrics import build_knowledge_space, score_all
+from cultnovelty.metrics import build_knowledge_space, lay_out, score_all
 
 from conftest import make_doc
 from oracles import (
@@ -73,7 +73,7 @@ def assert_equals_scalar(docs, variation):
     kb = kb_of(docs)
     assert kb.epsilon_newness == scalar_newness_threshold(docs)
     assert kb.epsilon_difference == scalar_difference_threshold(docs)
-    assert score_all(kb, make_doc("v", variation)) == scalar_score_all(docs, variation)
+    assert score_all(kb, lay_out(make_doc("v", variation))) == scalar_score_all(docs, variation)
 
 
 @EXACT
@@ -95,24 +95,24 @@ def test_tied_cases_really_tie():
         q, tq = dist_of(variation)
         terms = {w: v for w, v, _ in scalar_contributions(p, q, *proportional_weights(tp, tq))}
         assert terms["z"] == scalar_newness_threshold(docs) == 0.5
-        assert score_all(kb_of(docs), make_doc("v", variation)).appearance == 0.0
+        assert score_all(kb_of(docs), lay_out(make_doc("v", variation))).appearance == 0.0
     docs = [["a", "b", "b"], ["a", "c"]]
     gap = scalar_jsd(dist_of(docs[1])[0], dist_of(docs[0])[0], 0.5, 0.5)
     assert 0.0 < gap == scalar_difference_threshold(docs)
-    assert score_all(kb_of(docs), make_doc("v", docs[0])).difference == 0.0
+    assert score_all(kb_of(docs), lay_out(make_doc("v", docs[0]))).difference == 0.0
 
 
 @EXACT
 @given(cases())
 def test_every_metric_in_unit_interval(case):
     docs, variation = case
-    assert all(0.0 <= v <= 1.0 for v in score_all(kb_of(docs), make_doc("v", variation)))
+    assert all(0.0 <= v <= 1.0 for v in score_all(kb_of(docs), lay_out(make_doc("v", variation))))
 
 
 @EXACT
 @given(st.lists(st.sampled_from(LETTERS), min_size=1, max_size=12), st.integers(2, 6))
 def test_replica_variation_scores_zero(doc, n):
-    scores = score_all(kb_of([doc] * n), make_doc("v", doc))
+    scores = score_all(kb_of([doc] * n), lay_out(make_doc("v", doc)))
     assert (scores.appearance, scores.disappearance, scores.newness) == (0.0, 0.0, 0.0)
     assert scores.uniqueness == 0.0
     assert scores.new_surprise == 0.0
@@ -122,7 +122,7 @@ def test_replica_variation_scores_zero(doc, n):
 @given(cases())
 def test_pooled_variation_is_neither_new_nor_unique(case):
     docs, _ = case
-    scores = score_all(kb_of(docs), make_doc("v", [w for d in docs for w in d]))
+    scores = score_all(kb_of(docs), lay_out(make_doc("v", [w for d in docs for w in d])))
     assert (scores.newness, scores.uniqueness) == (0.0, 0.0)
 
 
@@ -135,6 +135,6 @@ def test_scores_do_not_depend_on_scoring_order(case, others):
     docs, variation = case
     variations = [make_doc("v", v) for v in [variation, *others]]
     kb = kb_of(docs)
-    forward = [score_all(kb, v) for v in variations]
+    forward = [score_all(kb, lay_out(v)) for v in variations]
     kb = kb_of(docs)
-    assert [score_all(kb, v) for v in reversed(variations)] == forward[::-1]
+    assert [score_all(kb, lay_out(v)) for v in reversed(variations)] == forward[::-1]

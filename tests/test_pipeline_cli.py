@@ -7,11 +7,14 @@ import os
 import subprocess
 import sys
 from dataclasses import fields, replace
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cultnovelty import ingest
 from cultnovelty.annotation import filter_stream
@@ -130,6 +133,14 @@ class TestRunConfig:
         assert RunConfig(lambda1=lambda1).lambda2 == lambda2
         with pytest.raises(TypeError):
             RunConfig(lambda1=lambda1, lambda2=lambda2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    @example(0.8)
+    @example(5e-324)
+    @example(0.30000000000000004)
+    def test_lambda2_is_the_exact_decimal_complement_rounded_once(self, lambda1):
+        assert RunConfig(lambda1=lambda1).lambda2 == float(Fraction(1) - Fraction(repr(lambda1)))
 
 
 class TestFmtFloat:
@@ -437,6 +448,59 @@ class TestScoreReadsBuildOutputs:
         documents = self.without_document(out, doc_id)
         assert main(["score", "--manifests", str(path), "--output-dir", str(out)]) == 2
         assert f"{path}: knowledge document id {doc_id!r} not in {documents}" in capsys.readouterr().err
+
+    def test_variation_id_in_two_documents_files_scores_each_own_tokens(self, built, tmp_path):
+        # two manifest directories, each with its own documents.jsonl, list one
+        # variation id with different tokens: each split must score its own
+        _, out = built
+        manifests = {name: json.loads((out / "manifests" / name).read_text())
+                     for name in ("couscous__MA.json", "couscous__GR.json")}
+        listed = [{v["id"] for v in m["variations"]} for m in manifests.values()]
+        doc_id = sorted(set.intersection(*listed))[0]
+        records = [json.loads(line) for line in (out / "manifests" / "documents.jsonl").read_text().splitlines()]
+        tokens = {r["id"]: r["tokens"] for r in records}
+
+        def write(directory, name, shared_tokens):
+            directory.mkdir()
+            (directory / name).write_text(json.dumps(manifests[name]))
+            lines = [json.dumps({**r, "tokens": shared_tokens} if r["id"] == doc_id else r) for r in records]
+            (directory / "documents.jsonl").write_text("\n".join(lines) + "\n")
+            return directory / name
+
+        # the second directory gives the shared id the tokens of a knowledge document
+        paths = [write(tmp_path / "a", "couscous__MA.json", tokens[doc_id]),
+                 write(tmp_path / "b", "couscous__GR.json",
+                       tokens[manifests["couscous__GR.json"]["knowledge_ids"][0]])]
+
+        def rows(*manifest_paths):
+            return read_csv(cmd_score(RunConfig(output_dir=str(tmp_path / "scored")), manifest_paths))
+
+        alone = [rows(path) for path in paths]
+        together = rows(*paths)
+        assert together[0] == alone[0][0] == alone[1][0]
+        assert together[1:] == sorted(alone[0][1:] + alone[1][1:], key=lambda r: r[:3])
+        # the two documents files really score the shared id differently
+        a_row, b_row = ([r for r in part[1:] if r[2] == doc_id] for part in alone)
+        assert a_row[0][4:] != b_row[0][4:]
+
+    def test_variation_absent_from_documents_fails_once_per_listing(self, built, caplog):
+        _, out = built
+        paths = sorted((out / "manifests").glob("*.json"))
+        listings = {}
+        for path in paths:
+            for entry in json.loads(path.read_text())["variations"]:
+                listings.setdefault(entry["id"], []).append(path)
+        doc_id = min(listings, key=lambda i: (-len(listings[i]), i))
+        assert len(listings[doc_id]) > 1
+        documents = self.without_document(out, doc_id)
+        with caplog.at_level(logging.INFO, logger="cultnovelty"):
+            assert main(["score", "--output-dir", str(out)]) == 0
+        for path in listings[doc_id]:
+            assert f"{path}: variation id {doc_id!r} not in {documents}, skipped" in caplog.text
+        skipped = len(listings[doc_id])
+        rows = sum(len(ids) for ids in listings.values()) - skipped
+        assert f"score: {rows} rows written, {skipped} failures skipped" in caplog.text
+        assert len(read_csv(out / "scores.csv")) - 1 == rows
 
     def test_absent_variation_document_is_skipped_with_a_warning(self, built, caplog):
         _, out = built
@@ -1265,6 +1329,14 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     run_fresh_interpreter(
         f"import sys; from cultnovelty import cli; assert cli.main({argv!r}) == 0; "
         "assert not [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]")
+
+
+def test_cli_import_and_build_leave_decimal_unloaded(tmp_path):
+    # lambda2 comes from integer arithmetic, so no stage pays for importing decimal
+    argv = ["build", "--corpus", CORPUS, "--dishes", DISHES, "--output-dir", str(tmp_path / "out")]
+    unloaded = "assert not {'decimal', '_decimal', 'fractions'} & set(sys.modules), sys.modules.keys()"
+    run_fresh_interpreter(
+        f"import sys; from cultnovelty import cli; {unloaded}; assert cli.main({argv!r}) == 0; {unloaded}")
 
 
 def test_non_numeric_modules_load_without_numpy():

@@ -4,11 +4,13 @@ The tracer reports a name it cannot find as missing and its per-layer
 metric as 0, so a rename or deletion would otherwise pass unnoticed. A
 name can also stay but stop being called through the attribute the tracer
 wraps; the traced build and score below catch that for the build layers,
-the calibrations and the metrics.
+the calibrations and the metrics, and check that score lays out each
+variation once however many knowledge spaces list it.
 """
 
 import importlib
 import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -64,7 +66,9 @@ def test_traced_name_resolves(module, attr):
     assert callable(owner)
 
 
-def test_traced_build_and_score_record_every_scoring_span(tmp_path, monkeypatch):
+@pytest.fixture
+def traced_run(tmp_path, monkeypatch):
+    """The tracer installed on the package, undone after the test, and a fixture config."""
     modules = {m: importlib.import_module(f"cultnovelty.{m}") for m, _ in TARGETS}
     for module, attr in TARGETS:
         owner = modules[module]
@@ -82,10 +86,32 @@ def test_traced_build_and_score_record_every_scoring_span(tmp_path, monkeypatch)
         output_dir=str(tmp_path / "out"),
         seed=17,
     )
-    modules["pipeline"].cmd_build(config)
+    return traced, modules["pipeline"], config
+
+
+def test_traced_build_and_score_record_every_scoring_span(traced_run):
+    traced, pipeline, config = traced_run
+    pipeline.cmd_build(config)
     built = Counter(span[0] for span in traced.spans)
     assert {name: built[name] for name in BUILD_SPANS if not built[name]} == {}
-    modules["pipeline"].cmd_score(config)
+    pipeline.cmd_score(config)
 
     recorded = Counter(span[0] for span in traced.spans)
     assert {name: recorded[name] for name in SCORING_SPANS if not recorded[name]} == {}
+
+
+def test_traced_score_lays_out_each_variation_once(traced_run):
+    traced, pipeline, config = traced_run
+    pipeline.cmd_build(config)
+    start = len(traced.spans)
+    pipeline.cmd_score(config)
+    spans = traced.spans[start:]
+
+    listed = Counter()  # variation id -> the manifests that list it
+    for path in (Path(config.output_dir) / "manifests").glob("*.json"):
+        listed.update(entry["id"] for entry in json.loads(path.read_text())["variations"])
+    scored = [span[4]["variation"] for span in spans if span[0] == "metrics.score_all"]
+    assert Counter(scored) == listed  # the span's variation attribute is the document id
+    # the fixtures have one documents.jsonl, so a variation is one (documents file, id) pair
+    laid_out = sum(1 for span in spans if span[0] == "ppmi.build_ppmi.variation")
+    assert laid_out == len(listed) < len(scored)
