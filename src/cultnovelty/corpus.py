@@ -1,4 +1,4 @@
-"""Document model, the pooled token distribution, and control variables.
+"""Document model, the pooled token distribution, and the score and control columns.
 
 Documents hold lemmatized, POS-filtered token sequences. Scoring works on
 the arrays that ``metrics.build_knowledge_space`` lays out from them; the
@@ -94,6 +94,18 @@ class TokenDistribution:
     @property
     def support(self) -> frozenset[str]:
         return frozenset(self.probs)
+
+
+class NoveltyScores(NamedTuple):
+    """All seven score components of one variation against one knowledge space."""
+
+    appearance: float
+    disappearance: float
+    newness: float
+    uniqueness: float
+    difference: float
+    new_surprise: float
+    divergent_surprise: float
 
 
 class ControlVars(NamedTuple):

@@ -92,6 +92,14 @@ def _coordinate_pair(entry: dict, key: str, where: str) -> tuple[Optional[float]
         raise ParseError(f"{where}: {key} coordinate out of range ({exc})") from exc
 
 
+BUNDLED_REGISTRY = "<bundled registry>"  # the source name of the registry shipped with the package
+
+
+def bundled_registry():
+    """The registry file shipped with the package, as an importlib.resources Traversable."""
+    return resources.files("cultnovelty.data").joinpath("country_registry_v1.json")
+
+
 def load_registry(path: Optional[Union[str, Path]] = None) -> Registry:
     """Load a registry JSON file; without a path, the bundled sample registry.
 
@@ -99,10 +107,8 @@ def load_registry(path: Optional[Union[str, Path]] = None) -> Registry:
     analyses against a specific survey wave should pass their own file.
     """
     if path is None:
-        raw = resources.files("cultnovelty.data").joinpath(
-            "country_registry_v1.json"
-        ).read_text("utf-8")
-        source = "<bundled registry>"
+        raw = bundled_registry().read_text("utf-8")
+        source = BUNDLED_REGISTRY
     else:
         source = str(path)
         raw = Path(path).read_text("utf-8")

@@ -56,7 +56,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Document, aggregate_distribution
+from .corpus import Document, NoveltyScores, aggregate_distribution
 from .divergence import clamped_fsum, equal_weight_jsds, per_word_terms
 # jsd and jsd_decomposed stay reachable here: bench/tracer.py counts calls through these names
 from .divergence import jsd, jsd_decomposed  # noqa: F401
@@ -119,18 +119,6 @@ class Comparison:
     p: np.ndarray  # the aggregate over the knowledge vocabulary, then 0 per unseen lemma
     q: np.ndarray  # the variation over the same positions
     terms: np.ndarray  # proportional-weight per-word terms of p against q
-
-
-class NoveltyScores(NamedTuple):
-    """All seven score components of one variation against one knowledge space."""
-
-    appearance: float
-    disappearance: float
-    newness: float
-    uniqueness: float
-    difference: float
-    new_surprise: float
-    divergent_surprise: float
 
 
 def _require_docs(docs: Sequence[Document]) -> None:

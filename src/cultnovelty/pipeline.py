@@ -4,21 +4,24 @@ Every stage is a pure function of (inputs, config, seed) and writes its
 rows in canonical order, so reruns are byte-identical.
 Float cells hold the shortest string that reads back as the same float, so
 identities such as total = acme + ade hold exactly in the tables too.
+
+Only score and analyze load numpy, with ``metrics`` and ``stats``: each
+binds their functions here when it starts (``_load_numeric``). Importing
+this module, and the build, distances and report stages, leave numpy out.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import importlib
 import json
 import logging
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union, get_args, get_type_hints
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Union, get_args, get_type_hints
 
 from . import __version__
 from .builder import (
@@ -28,8 +31,17 @@ from .builder import (
     load_dish_specs,
     matched_documents,
 )
-from .corpus import ControlVars, Document, control_variables
-from .distances import Registry, compute_matrix, geo_distance, iw_distance, load_distance_matrix, load_registry
+from .corpus import ControlVars, Document, NoveltyScores, control_variables
+from .distances import (
+    BUNDLED_REGISTRY,
+    Registry,
+    bundled_registry,
+    compute_matrix,
+    geo_distance,
+    iw_distance,
+    load_distance_matrix,
+    load_registry,
+)
 from .errors import (
     AllTied,
     ConstantSeries,
@@ -44,10 +56,39 @@ from .errors import (
     UnknownCountry,
 )
 from .ingest import PROVIDERS, parse_json, read_documents, write_documents
-from .metrics import KnowledgeSpace, NoveltyScores, Variation, build_knowledge_space, lay_out, score_all
-from .stats import kendall_tau, mediate, ols, pearson, rbo
+
+if TYPE_CHECKING:
+    from .metrics import KnowledgeSpace, Variation
 
 log = logging.getLogger(__name__)
+
+# The numeric functions score and analyze call, by the module they come from.
+# They are looked up in this module's globals, where the benchmark's tracer
+# (bench/tracer.py) wraps them as pipeline.score_all and so on, before any
+# stage has run. So they are bound here on first use, by _load_numeric, and
+# never over a name already bound. This goes when ROADMAP items 1 and 3
+# split the stages into modules that import what they run.
+_NUMERIC = {
+    "metrics": ("build_knowledge_space", "lay_out", "score_all"),
+    "stats": ("kendall_tau", "mediate", "ols", "pearson", "rbo"),
+}
+
+
+def _load_numeric() -> None:
+    """Import metrics and stats, and with them numpy, and bind their functions here."""
+    for module_name, names in _NUMERIC.items():
+        module = importlib.import_module(f"{__package__}.{module_name}")
+        for name in names:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    """pipeline.score_all and the other numeric names resolve before any stage has run."""
+    if any(name in names for names in _NUMERIC.values()):
+        _load_numeric()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 METRIC_COLUMNS = NoveltyScores._fields
 CONTROL_COLUMNS = ControlVars._fields
@@ -405,6 +446,7 @@ def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Pa
     besides the documents the stage holds one dish's knowledge spaces and
     one layout at a time. Rows are written sorted, whatever the order.
     """
+    _load_numeric()
     out_dir = Path(config.output_dir)
     if manifest_paths is None:
         manifest_paths = sorted((out_dir / "manifests").glob("*.json"))
@@ -576,6 +618,8 @@ def _distance_tables(rows: list[dict], config: RunConfig) -> tuple[list[list[str
     Each distance kind is one pass over the rows that carry it; each table
     lists its rows by kind, in DISTANCE_KINDS order.
     """
+    import numpy as np
+
     correlations: list[list[str]] = []
     regressions: list[list[str]] = []
     marginal: list[list[str]] = []
@@ -647,6 +691,7 @@ def _distance_tables(rows: list[dict], config: RunConfig) -> tuple[list[list[str
 
 def cmd_analyze(config: RunConfig, scores_path: Optional[Union[str, Path]] = None) -> dict:
     """Produce the correlation, regression, marginal, and mediation tables."""
+    _load_numeric()
     out_dir = Path(config.output_dir)
     if scores_path is None:
         scores_path = out_dir / "scores.csv"
@@ -666,6 +711,8 @@ def cmd_analyze(config: RunConfig, scores_path: Optional[Union[str, Path]] = Non
         written.append(str(path))
 
     inputs = {str(scores_path): _sha256_file(scores_path)}
+    if config.registry_path is None:  # the distances came from the registry shipped with the package
+        inputs[BUNDLED_REGISTRY] = hashlib.sha256(bundled_registry().read_bytes()).hexdigest()
     for maybe in (config.registry_path, config.linguistic_path, config.religious_path):
         if maybe:
             inputs[str(maybe)] = _sha256_file(maybe)

@@ -20,7 +20,7 @@ from cultnovelty import ingest
 from cultnovelty.annotation import filter_stream
 from cultnovelty.builder import load_dish_specs, matched_documents
 from cultnovelty.cli import _config_from_args, build_parser, main
-from cultnovelty.distances import load_registry
+from cultnovelty.distances import bundled_registry, load_registry
 from cultnovelty.pipeline import (
     SCORE_COLUMNS,
     RunConfig,
@@ -558,6 +558,23 @@ class TestAnalyze:
         assert manifest["config"]["holdout_fraction"] == 0.3
         assert manifest["tool_version"]
         assert manifest["input_digests"]
+
+    def test_run_manifest_digests_the_registry_read(self, analyzed, tmp_path):
+        bundled = bundled_registry().read_bytes()
+        digests = json.loads((analyzed / "run_manifest.json").read_text())["input_digests"]
+        assert digests["<bundled registry>"] == hashlib.sha256(bundled).hexdigest()
+        assert len(digests) == 4  # scores, the bundled registry, linguistic and religious
+
+        registry = tmp_path / "registry.json"
+        registry.write_bytes(bundled + b"\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--scores", str(GOLDEN_SCORES), "--registry", str(registry),
+                     "--n-boot", "0", "--output-dir", str(out)]) == 0
+        digests = json.loads((out / "run_manifest.json").read_text())["input_digests"]
+        assert digests == {
+            str(GOLDEN_SCORES): hashlib.sha256(GOLDEN_SCORES.read_bytes()).hexdigest(),
+            str(registry): hashlib.sha256(registry.read_bytes()).hexdigest(),
+        }
 
     def test_mediation_identity_in_table(self, analyzed):
         rows = read_csv(analyzed / "mediation.csv")
@@ -1339,9 +1356,26 @@ def test_cli_import_and_build_leave_decimal_unloaded(tmp_path):
         f"import sys; from cultnovelty import cli; {unloaded}; assert cli.main({argv!r}) == 0; {unloaded}")
 
 
-def test_non_numeric_modules_load_without_numpy():
-    # importing numpy costs about 0.13 s, and build and report need none of it
+def test_non_numeric_modules_load_without_numpy(tmp_path):
+    # importing numpy costs about 0.14 s of every stage process, and only score
+    # and analyze need it: cli imports, and build, distances and report run,
+    # with every numpy import failing, and leave the numeric modules unloaded
+    analyzed = tmp_path / "analyzed"
+    assert main(["analyze", "--scores", str(GOLDEN_SCORES), "--linguistic", LINGUISTIC,
+                 "--religious", RELIGIOUS, "--n-boot", "0", "--output-dir", str(analyzed)]) == 0
+    out = tmp_path / "out"
+    stages = [
+        ["build", "--corpus", CORPUS, "--dishes", DISHES, "--seed", "17", "--output-dir", str(out)],
+        ["distances", "--output-dir", str(out)],
+        ["report", "--analyze-dir", str(analyzed), "--output-dir", str(out)],
+    ]
     run_fresh_interpreter(
-        "import sys, cultnovelty.annotation, cultnovelty.builder, cultnovelty.corpus, "
-        "cultnovelty.distances, cultnovelty.errors, cultnovelty.ingest; "
-        "assert 'numpy' not in sys.modules")
+        "import sys; sys.modules['numpy'] = None; from cultnovelty import cli; "
+        f"assert [cli.main(argv) for argv in {stages!r}] == [0, 0, 0]; "
+        "loaded = {'cultnovelty.metrics', 'cultnovelty.stats', 'cultnovelty.divergence'} & set(sys.modules); "
+        "assert not loaded, loaded")
+    manifests = sorted(p.name for p in (GOLDEN / "manifests").iterdir())
+    assert sorted(p.name for p in (out / "manifests").iterdir()) == manifests
+    for name in ["eligibility.csv"] + [f"manifests/{m}" for m in manifests]:
+        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    assert (out / "iw.csv").exists() and (out / "bundle" / "bundle_index.json").exists()

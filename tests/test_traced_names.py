@@ -5,12 +5,16 @@ metric as 0, so a rename or deletion would otherwise pass unnoticed. A
 name can also stay but stop being called through the attribute the tracer
 wraps; the traced build and score below catch that for the build layers,
 the calibrations and the metrics, and check that score lays out each
-variation once however many knowledge spaces list it.
+variation once however many knowledge spaces list it. The tracer's own
+script, in a fresh interpreter, checks that pipeline's numeric names,
+bound on first use, keep the wrappers the tracer installs before any stage.
 """
 
 import importlib
 import importlib.util
 import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -115,3 +119,27 @@ def test_traced_score_lays_out_each_variation_once(traced_run):
     # the fixtures have one documents.jsonl, so a variation is one (documents file, id) pair
     laid_out = sum(1 for span in spans if span[0] == "ppmi.build_ppmi.variation")
     assert laid_out == len(listed) < len(scored)
+
+
+def test_tracer_script_wraps_pipeline_names_before_any_stage_binds_them(tmp_path):
+    # pipeline binds its numeric names on first use; a fresh interpreter has
+    # bound none of them when the script installs the tracer, and score and
+    # analyze must then call the wrappers, not rebind the functions over them
+    spec = {
+        "corpus_path": str(FIXTURES / "recipes_50.jsonl"),
+        "dish_specs_path": str(FIXTURES / "dishes_sample.json"),
+        "linguistic_path": str(FIXTURES / "linguistic.csv"),
+        "religious_path": str(FIXTURES / "religious.csv"),
+        "output_dir": str(tmp_path / "out"),
+        "seed": 17,
+        "n_boot": 20,
+    }
+    config, spans = tmp_path / "run.json", tmp_path / "spans.json"
+    config.write_text(json.dumps(spec), encoding="utf-8")
+    subprocess.run([sys.executable, str(TRACER), "--config", str(config), "--spans", str(spans)], check=True)
+    trace = json.loads(spans.read_text(encoding="utf-8"))
+    assert trace["missing"] == []
+    recorded = Counter(span[0] for span in trace["spans"])
+    wrapped = ("metrics.build_knowledge_space", "metrics.score_all", "stats.mediate",
+               "stats.kendall_tau", "stats.pearson", "stats.rbo", "stats.ols")
+    assert {name: recorded[name] for name in wrapped if not recorded[name]} == {}
