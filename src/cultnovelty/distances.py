@@ -176,11 +176,17 @@ def _pair_key(a: str, b: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric sparse country-pair distance table."""
+    """Symmetric sparse country-pair distance table.
+
+    A country is at distance 0 from itself whether or not its self-pair is
+    listed: the loader rejects any other self-distance.
+    """
 
     entries: Mapping[tuple[str, str], float]
 
     def get(self, a: str, b: str) -> Optional[float]:
+        if a == b:
+            return 0.0
         return self.entries.get(_pair_key(a, b))
 
     def __len__(self) -> int:

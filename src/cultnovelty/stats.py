@@ -4,10 +4,13 @@ Correlation (Pearson, tau-b), top-weighted ranking overlap, OLS with
 classical inference, and linear product-of-coefficients mediation (Imai,
 Keele & Tingley 2010) with a seeded percentile bootstrap (Efron &
 Tibshirani 1993). The bootstrap draws each (seed, n, n_boot) resample set
-once and solves every replicate from count-weighted Gram matrices of the
-standardized data; rank-deficient replicates fall back to minimum-norm
-least squares. Implementations are written against numpy and the standard
-library; the test suite checks them against independent oracles.
+once. One Gram table per row set holds every replicate's count-weighted
+Gram entries over all of that set's standardized columns; each mediation
+slices its own 4x4 matrices out of it and solves all of its replicates at
+once, and rank-deficient replicates fall back to minimum-norm least
+squares. Kendall's tau-b takes its pair signs by comparison, as sign
+matrices in row blocks. Implementations are written against numpy and the
+standard library; the test suite checks them against independent oracles.
 
 The t-test p-value is the regularized incomplete beta I_x(df/2, 1/2),
 evaluated by the modified Lentz method (Numerical Recipes, 3rd ed., sections
@@ -36,8 +39,12 @@ from .errors import (
     RankDeficient,
 )
 
-# replicates per weighted Gram block: bounds the float copy of the count matrix
-_BOOT_BLOCK = 64
+# replicates per weighted Gram block: bounds the float copy of the count matrix, and
+# keeps each block's product with the n x 55 products small; at 64 rows OpenBLAS split
+# it across threads, which stalled for milliseconds per block on a 2-vCPU host
+_BOOT_BLOCK = 16
+# rows of the pair-sign matrices kendall_tau holds at once: bounds them at this many x n
+_KENDALL_BLOCK = 256
 # a Gram block whose eigenvalue ratio falls below this is refit by lstsq; the
 # normal equations lose up to about eps / ratio relative, so 1e-4 keeps them near 1e-11
 _MIN_EIGEN_RATIO = 1e-4
@@ -174,12 +181,16 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Tau-b with tie correction; p from the tie-adjusted normal approximation."""
     xa, ya = _paired(x, y, min_n=3)
     n = len(xa)
-    concordant_minus_discordant = 0
-    for i in range(n - 1):
+    # each unordered pair appears twice among the rows of the sign matrices and
+    # the diagonal is zero, so their sum is twice concordant minus discordant
+    twice_concordant_minus_discordant = 0
+    for start in range(0, n, _KENDALL_BLOCK):
+        rows = slice(start, start + _KENDALL_BLOCK)
         # signs by comparison: the difference of two large values would overflow
-        sign_x = (xa[i + 1 :] > xa[i]).astype(int) - (xa[i + 1 :] < xa[i])
-        sign_y = (ya[i + 1 :] > ya[i]).astype(int) - (ya[i + 1 :] < ya[i])
-        concordant_minus_discordant += int(sign_x @ sign_y)
+        sign_x = (xa > xa[rows, None]).astype(np.int8) - (xa < xa[rows, None])
+        sign_y = (ya > ya[rows, None]).astype(np.int8) - (ya < ya[rows, None])
+        twice_concordant_minus_discordant += int((sign_x * sign_y).sum(dtype=np.int64))
+    concordant_minus_discordant = twice_concordant_minus_discordant // 2
 
     def tie_counts(arr: np.ndarray) -> list[int]:
         _, counts = np.unique(arr, return_counts=True)
@@ -362,19 +373,72 @@ def _standardize(v: np.ndarray) -> tuple[np.ndarray, float]:
     return z, scale
 
 
-def _weighted_effects(
-    weights: np.ndarray, outer: np.ndarray, scales: tuple[float, float, float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(acme, ade, singular) of each row of case weights.
+@dataclass(frozen=True, eq=False)
+class GramTable:
+    """Weighted Gram entries of standardized columns, one row per replicate.
 
-    ``outer`` holds each observation's outer product of [1, t', m', y'] over
-    standardized columns, so ``weights @ outer`` is every replicate's Gram
-    matrix. m ~ 1 + t is its leading 2x2 block and y ~ 1 + t + m its leading
-    3x3 block; shifting and scaling change the slopes only by the scale ratios.
-    Rows flagged singular hold placeholders and must be refit.
+    Column k of ``entries`` is the k-th upper-triangle entry, row by row, of
+    the Gram matrix of [1, z_0, z_1, ...], where z_j is column j standardized.
+    Row 0 weights every observation once and gives the point estimates; row
+    1 + i weights them by replicate i of ``_resample_counts(seed, n, n_boot)``.
+    ``scales[j]`` is column j's standard deviation, or None where standardizing
+    it overflows float64; z_j is then zero, so only the fits that use it fail.
+    """
+
+    entries: np.ndarray
+    scales: tuple[Optional[float], ...]
+    n: int
+    n_boot: int
+    seed: int
+
+
+def gram_table(columns: Sequence[Sequence[float]], n_boot: int, seed: int) -> GramTable:
+    """The Gram table of equally long columns: each replicate weights the same n rows."""
+    data = np.asarray(columns, dtype=float)
+    n_columns, n = data.shape
+    n_boot = max(n_boot, 0)
+    design = np.empty((n, 1 + n_columns))
+    design[:, 0] = 1.0
+    scales: list[Optional[float]] = []
+    for j, column in enumerate(data, start=1):
+        try:
+            design[:, j], scale = _standardize(column)
+        except NumericOverflow:
+            design[:, j], scale = 0.0, None
+        scales.append(scale)
+    upper = np.triu_indices(1 + n_columns)
+    products = design[:, upper[0]] * design[:, upper[1]]
+    entries = np.empty((1 + n_boot, len(upper[0])))
+    np.matmul(np.ones((1, n)), products, out=entries[:1])
+    if n_boot:
+        counts = _resample_counts(seed, n, n_boot)
+        for start in range(0, n_boot, _BOOT_BLOCK):
+            block = counts[start : start + _BOOT_BLOCK]
+            np.matmul(block.astype(float), products, out=entries[1 + start : 1 + start + len(block)])
+    return GramTable(entries=entries, scales=tuple(scales), n=n, n_boot=n_boot, seed=seed)
+
+
+def _gram_slice(table: GramTable, columns: tuple[int, int, int]) -> np.ndarray:
+    """Every row's 4x4 Gram matrix of [1, z_t, z_m, z_y], gathered from the table."""
+    size = 1 + len(table.scales)
+    upper = np.triu_indices(size)
+    position = np.empty((size, size), dtype=np.intp)
+    position[upper] = position[upper[::-1]] = np.arange(len(upper[0]))
+    chosen = [0] + [1 + c for c in columns]
+    return table.entries[:, position[np.ix_(chosen, chosen)]]
+
+
+def _weighted_effects(
+    gram: np.ndarray, scales: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(acme, ade, singular) of each 4x4 Gram matrix of [1, t', m', y'].
+
+    t', m' and y' are the standardized columns. m ~ 1 + t is the leading 2x2
+    block and y ~ 1 + t + m the leading 3x3 block; shifting and scaling
+    change the slopes only by the scale ratios. Rows flagged singular hold
+    placeholders and must be refit. ``gram`` is overwritten.
     """
     t_scale, m_scale, y_scale = scales
-    gram = (weights @ outer).reshape(-1, 4, 4)
     # the 2x2 block is a principal submatrix of the 3x3 one, so by eigenvalue
     # interlacing its ratio is never the smaller of the two
     eig = np.linalg.eigvalsh(gram[:, :3, :3])
@@ -385,11 +449,6 @@ def _weighted_effects(
     b = coef[:, 2] * (y_scale / m_scale)
     ade = coef[:, 1] * (y_scale / t_scale)
     return a * b, ade, singular
-
-
-def _percentile_ci(samples: np.ndarray) -> tuple[float, float]:
-    lo, hi = np.percentile(samples, [2.5, 97.5])
-    return float(lo), float(hi)
 
 
 def _bootstrap_p(samples: np.ndarray) -> float:
@@ -404,6 +463,8 @@ def mediate(
     outcome: Sequence[float],
     n_boot: int = 1000,
     seed: int = 0,
+    table: Optional[GramTable] = None,
+    columns: tuple[int, int, int] = (0, 1, 2),
 ) -> MediationResult:
     """Linear product-of-coefficients mediation with bootstrap inference.
 
@@ -413,49 +474,53 @@ def mediate(
     intervals and p-values come from a seeded nonparametric bootstrap whose
     per-replicate substreams make the result independent of evaluation
     order. The point estimate is the replicate whose every weight is one.
+
+    Mediations over the same rows share one ``table`` from ``gram_table``
+    (same n_boot and seed), whose ``columns`` hold treatment, mediator and
+    outcome; without one, mediate builds the table of its own three columns.
     """
     t, m = _paired(treatment, mediator, min_n=10)
     _, y = _paired(treatment, outcome, min_n=10)
     n = len(t)
-    columns, scales = zip(*(_standardize(v) for v in (t, m, y)))
-    design = np.column_stack((np.ones(n),) + columns)
-    outer = (design[:, :, None] * design[:, None, :]).reshape(n, 16)
+    n_boot = max(n_boot, 0)
+    if table is None:
+        table = gram_table((t, m, y), n_boot, seed)
+    elif (table.n, table.n_boot, table.seed) != (n, n_boot, seed):
+        raise ValueError("the Gram table holds other rows, replicates or seed")
+    scales = [table.scales[c] for c in columns]
+    if None in scales:
+        raise NumericOverflow("a series overflows float64 when standardized")
 
-    point_acme, point_ade, singular = _weighted_effects(np.ones((1, n)), outer, scales)
+    acme_all, ade_all, singular = _weighted_effects(_gram_slice(table, columns), scales)
     if singular[0]:
-        point_acme[0], point_ade[0] = _mediation_point(t, m, y)
-    acme, ade = float(point_acme[0]), float(point_ade[0])
+        acme_all[0], ade_all[0] = _mediation_point(t, m, y)
+    for i in np.flatnonzero(singular[1:]):
+        idx = _resample_indices(seed, n, i)
+        acme_all[1 + i], ade_all[1 + i] = _mediation_point(t[idx], m[idx], y[idx])
+    acme, ade = float(acme_all[0]), float(ade_all[0])
     total = acme + ade
 
-    if n_boot <= 0:
+    if n_boot == 0:
         return MediationResult(
             total_effect=total, acme=acme, ade=ade,
             acme_ci=None, ade_ci=None, total_ci=None,
             acme_p=None, ade_p=None, total_p=None, n_boot=0,
         )
 
-    counts = _resample_counts(seed, n, n_boot)
-    acme_samples = np.empty(n_boot)
-    ade_samples = np.empty(n_boot)
-    for start in range(0, n_boot, _BOOT_BLOCK):
-        block = slice(start, start + _BOOT_BLOCK)
-        acme_samples[block], ade_samples[block], singular = _weighted_effects(
-            counts[block].astype(float), outer, scales
-        )
-        for i in start + np.flatnonzero(singular):
-            idx = _resample_indices(seed, n, i)
-            acme_samples[i], ade_samples[i] = _mediation_point(t[idx], m[idx], y[idx])
-    total_samples = acme_samples + ade_samples
-
+    samples = np.stack((acme_all[1:], ade_all[1:], acme_all[1:] + ade_all[1:]))
+    acme_ci, ade_ci, total_ci = (
+        (float(low), float(high)) for low, high in np.percentile(samples, [2.5, 97.5], axis=1).T
+    )
+    acme_p, ade_p, total_p = (_bootstrap_p(s) for s in samples)
     return MediationResult(
         total_effect=total,
         acme=acme,
         ade=ade,
-        acme_ci=_percentile_ci(acme_samples),
-        ade_ci=_percentile_ci(ade_samples),
-        total_ci=_percentile_ci(total_samples),
-        acme_p=_bootstrap_p(acme_samples),
-        ade_p=_bootstrap_p(ade_samples),
-        total_p=_bootstrap_p(total_samples),
+        acme_ci=acme_ci,
+        ade_ci=ade_ci,
+        total_ci=total_ci,
+        acme_p=acme_p,
+        ade_p=ade_p,
+        total_p=total_p,
         n_boot=n_boot,
     )

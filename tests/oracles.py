@@ -310,6 +310,40 @@ def oracle_rbo(list_a, list_b, p):
     return (1 - p) / p * (sum1 + sum2) + sum3
 
 
+def oracle_kendall_tau(x, y):
+    """Tau-b and its tie-adjusted normal p, one pair at a time; None if a series is all tied.
+
+    Signs come from comparisons, so huge values cannot overflow, and ties are
+    counted by equality, so -0.0 ties 0.0. The variance is Kendall's with
+    both tie corrections, in the same float steps as the library's.
+    """
+    n = len(x)
+    s = 0
+    for i, j in combinations(range(n), 2):
+        s += ((x[j] > x[i]) - (x[j] < x[i])) * ((y[j] > y[i]) - (y[j] < y[i]))
+    ties_x = [c for c in Counter(x).values() if c > 1]
+    ties_y = [c for c in Counter(y).values() if c > 1]
+    n0 = n * (n - 1) // 2
+    n1 = sum(t * (t - 1) // 2 for t in ties_x)
+    n2 = sum(u * (u - 1) // 2 for u in ties_y)
+    if n1 == n0 or n2 == n0:
+        return None
+    tau = max(-1.0, min(1.0, s / math.sqrt((n0 - n1) * (n0 - n2))))
+    v0 = n * (n - 1) * (2 * n + 5)
+    vt = sum(t * (t - 1) * (2 * t + 5) for t in ties_x)
+    vu = sum(u * (u - 1) * (2 * u + 5) for u in ties_y)
+    v1 = sum(t * (t - 1) for t in ties_x) * sum(u * (u - 1) for u in ties_y) / (2.0 * n * (n - 1))
+    v2 = (
+        sum(t * (t - 1) * (t - 2) for t in ties_x)
+        * sum(u * (u - 1) * (u - 2) for u in ties_y)
+        / (9.0 * n * (n - 1) * (n - 2))
+    )
+    var = (v0 - vt - vu) / 18.0 + v1 + v2
+    if var <= 0.0:
+        return tau, 1.0
+    return tau, math.erfc(abs(s / math.sqrt(var)) / math.sqrt(2.0))
+
+
 def oracle_haversine(lat1, lon1, lat2, lon2, radius=6371.0):
     """Great-circle distance via the atan2 formulation."""
     p1, p2 = radians(lat1), radians(lat2)

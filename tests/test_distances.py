@@ -128,6 +128,13 @@ class TestDistanceMatrix:
         assert matrix.get("DE", "FR") == 0.4
         assert matrix.get("FR", "DE") == 0.4
 
+    def test_unlisted_self_pair_is_zero(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("iso_a,iso_b,distance\nFR,DE,0.4\n")
+        matrix = load_distance_matrix(path, load_registry())
+        assert matrix.get("FR", "FR") == 0.0 and matrix.get("IT", "IT") == 0.0
+        assert matrix.get("IT", "DE") is None
+
     def test_conflicting_duplicate(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("iso_a,iso_b,distance\nFR,DE,0.4\nDE,FR,0.5\n")

@@ -671,6 +671,23 @@ class TestAnalyze:
         mediation = read_csv(out / "mediation.csv")[1:]
         assert {row[0] for row in mediation} == {"iw", "geo"}
 
+    def test_distance_file_without_self_pairs_keeps_same_country_rows(self, tmp_path, caplog):
+        # a country is at distance 0 from itself whether or not the file says so
+        assert any(row[1] == row[3] for row in read_csv(GOLDEN_SCORES)[1:])  # same-country rows
+        lines = Path(LINGUISTIC).read_text(encoding="utf-8").splitlines()
+        cross = [line for line in lines[1:] if line.split(",")[0] != line.split(",")[1]]
+        assert len(cross) < len(lines) - 1  # the fixture lists its self-pairs
+        linguistic = tmp_path / "linguistic.csv"
+        linguistic.write_text("\n".join([lines[0], *cross]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="cultnovelty.pipeline"):
+            code = main(["analyze", "--scores", str(GOLDEN_SCORES), "--linguistic", str(linguistic),
+                         "--religious", RELIGIOUS, "--n-boot", "0", "--output-dir", str(out)])
+        assert code == 0
+        assert not [m for m in caplog.messages if "rows lack a linguistic distance" in m]
+        n_by_kind = {row[0]: row[2] for row in read_csv(out / "correlations_distances.csv")[1:]}
+        assert n_by_kind["linguistic"] == n_by_kind["iw"]
+
 
 class TestOverflowingRegression:
     def test_distances_that_overflow_a_regression_skip_it(self, tmp_path, caplog):
@@ -688,6 +705,32 @@ class TestOverflowingRegression:
         for name in ("regressions.csv", "marginal.csv"):
             kinds = {row[0] for row in read_csv(out / name)[1:]}
             assert kinds == {"iw", "geo", "religious"}
+
+    def test_metric_that_overflows_skips_only_its_mediations(self, tmp_path, caplog):
+        # every kind's 15 mediations share one Gram table; the overflowing
+        # metric's column fails its own 3 mediations per kind and no others
+        rows = read_csv(GOLDEN_SCORES)
+        column = rows[0].index("difference")
+        for row in rows[1:]:
+            row[column] = repr(float(row[column]) * 1e300)
+        scores = tmp_path / "scores.csv"
+        with scores.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="cultnovelty.pipeline"):
+            code = main(["analyze", "--scores", str(scores), "--linguistic", LINGUISTIC,
+                         "--religious", RELIGIOUS, "--n-boot", "20", "--output-dir", str(out)])
+        assert code == 0
+        kinds = ("iw", "geo", "linguistic", "religious")
+        mediators = ("lexical_diversity", "new_ingredient_ratio", "length_ratio")
+        assert [m for m in caplog.messages if "analyze: mediation" in m] == [
+            f"analyze: mediation {kind}/difference/{mediator} skipped "
+            "(a series overflows float64 when standardized)"
+            for kind in kinds
+            for mediator in mediators
+        ]
+        written = {tuple(row[:3]) for row in read_csv(out / "mediation.csv")[1:]}
+        assert len(written) == 4 * 4 * 3 and not any(metric == "difference" for _, metric, _ in written)
 
 
 class TestDeterminism:

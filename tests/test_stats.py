@@ -1,14 +1,16 @@
 import math
 import random
+from dataclasses import fields
 from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cultnovelty import stats
 from cultnovelty.errors import (
     AllTied,
     ConstantSeries,
@@ -19,9 +21,11 @@ from cultnovelty.errors import (
     RankDeficient,
 )
 from cultnovelty.stats import (
+    MediationResult,
     _normal_p,
     _resample_counts,
     _t_p_value,
+    gram_table,
     kendall_tau,
     mediate,
     ols,
@@ -29,7 +33,7 @@ from cultnovelty.stats import (
     rbo,
 )
 
-from oracles import oracle_mediate, oracle_rbo
+from oracles import oracle_kendall_tau, oracle_mediate, oracle_rbo
 
 
 class TestPearson:
@@ -99,6 +103,14 @@ class TestPearson:
             pearson([1, 2], [1, 2, 3])
 
 
+# few distinct values, so that draws tie; the extremes, whose differences
+# overflow; and -0.0, which ties 0.0
+KENDALL_VALUES = st.one_of(
+    st.sampled_from([-1e308, -2.0, -0.0, 0.0, 1.0, 1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 class TestKendallTau:
     def test_identical_orderings(self):
         tau, _ = kendall_tau([1, 2, 3, 4], [10, 20, 30, 40])
@@ -139,6 +151,41 @@ class TestKendallTau:
         y = [1, 2, 3, 3, 5]
         assert kendall_tau(huge, y) == kendall_tau(same_order, y)
         assert kendall_tau(y, huge) == kendall_tau(y, same_order)
+
+    @staticmethod
+    def assert_matches_oracle(x, y):
+        want = oracle_kendall_tau(x, y)
+        if want is None:
+            with pytest.raises(AllTied):
+                kendall_tau(x, y)
+        else:
+            assert kendall_tau(x, y) == want
+
+    @pytest.mark.filterwarnings("error")  # no overflow on the way, even where no result changes
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(3, 40).flatmap(
+            lambda n: st.lists(
+                st.tuples(KENDALL_VALUES, KENDALL_VALUES), min_size=n, max_size=n
+            )
+        )
+    )
+    @example([(1.0, 2.0), (1.0, 2.0), (1.0, 3.0), (2.0, 3.0), (0.5, 1.0)])  # ties in x, y and both
+    @example([(1e308, -1e308), (-1e308, 1e308), (0.0, 0.0), (5e307, 1.0)])
+    @example([(-0.0, 1.0), (0.0, 2.0), (1.0, 3.0), (-0.0, -0.0), (2.0, 0.0)])
+    def test_equals_oracle(self, pairs):
+        x, y = [a for a, _ in pairs], [b for _, b in pairs]
+        self.assert_matches_oracle(x, y)
+        with pytest.MonkeyPatch.context() as patch:  # several row blocks for every n here
+            patch.setattr(stats, "_KENDALL_BLOCK", 3)
+            self.assert_matches_oracle(x, y)
+
+    def test_several_default_row_blocks_equal_oracle(self):
+        rng = random.Random(3)
+        n = 2 * stats._KENDALL_BLOCK + 5
+        x = [rng.choice([-1e308, -0.0, 0.0, 1.0, 2.5, 1e308]) for _ in range(n)]
+        y = [rng.randint(0, 20) + rng.choice([0.0, 0.5]) for _ in range(n)]
+        self.assert_matches_oracle(x, y)
 
 
 def mpmath_t_p(t, df):
@@ -411,3 +458,84 @@ class TestMediate:
         t = [1e308, 1e308] + [float(i) for i in range(10)]
         with pytest.raises(NumericOverflow):
             mediate(t, list(range(12)), list(range(12)), n_boot=5)
+
+
+class TestSharedGramTable:
+    """Mediations that read one table over all of a row set's columns.
+
+    Each must give what mediate gives from its own three columns: the same
+    p-values and replicate count, and every other field within 1e-12
+    relative, as BLAS may sum the products of the wider table in another
+    order. The data have effects well away from zero, where a relative
+    tolerance is meaningful.
+    """
+
+    N_METRICS, N_MEDIATORS = 5, 3
+
+    @staticmethod
+    def assert_same(got, want):
+        for field in fields(MediationResult):
+            g, w = getattr(got, field.name), getattr(want, field.name)
+            if field.name.endswith("_p") or field.name == "n_boot" or w is None:
+                assert g == w, field.name
+            else:
+                assert g == pytest.approx(w, rel=1e-12, abs=0.0), field.name
+
+    def assert_shared_equals_standalone(self, metrics, mediators, y, n_boot, seed):
+        table = gram_table(list(metrics) + list(mediators) + [y], n_boot, seed)
+        outcome = len(metrics) + len(mediators)
+        for i, t in enumerate(metrics):
+            for j, m in enumerate(mediators):
+                got = mediate(t, m, y, n_boot=n_boot, seed=seed, table=table,
+                              columns=(i, len(metrics) + j, outcome))
+                self.assert_same(got, mediate(t, m, y, n_boot=n_boot, seed=seed))
+
+    def system(self, data_seed, n):
+        rng = np.random.default_rng(data_seed)
+        metrics = rng.normal(size=(self.N_METRICS, n))
+        weights = rng.uniform(0.5, 1.0, size=(self.N_MEDIATORS, self.N_METRICS))
+        mediators = weights @ metrics + 0.5 * rng.normal(size=(self.N_MEDIATORS, n))
+        y = mediators.sum(axis=0) + 0.3 * metrics.sum(axis=0) + 0.5 * rng.normal(size=n)
+        return metrics, mediators, y
+
+    @pytest.mark.parametrize("data_seed", [0, 1, 2])
+    def test_equals_standalone(self, data_seed):
+        metrics, mediators, y = self.system(data_seed, n=150)
+        self.assert_shared_equals_standalone(metrics, mediators, y, n_boot=200, seed=data_seed)
+
+    def test_no_bootstrap_equals_standalone(self):
+        metrics, mediators, y = self.system(5, n=40)
+        self.assert_shared_equals_standalone(metrics, mediators, y, n_boot=0, seed=1)
+
+    def test_two_level_treatment_refits_replicates(self):
+        metrics, mediators, y = self.system(7, n=12)
+        metrics[0] = [0.0] * 10 + [1.0] * 2
+        # replicates that draw no treated row have a constant treatment
+        assert np.any(_resample_counts(9, 12, 100)[:, 10:].sum(axis=1) == 0)
+        self.assert_shared_equals_standalone(metrics, mediators, y, n_boot=100, seed=9)
+
+    def test_singular_point_estimate(self):
+        metrics, mediators, y = self.system(11, n=30)
+        mediators[1] = 2.0 * metrics[3] + 1.0  # collinear with one treatment
+        metrics[4] = 0.25  # a constant treatment
+        self.assert_shared_equals_standalone(metrics, mediators, y, n_boot=50, seed=3)
+
+    def test_overflowing_column_fails_only_its_mediations(self):
+        metrics, mediators, y = self.system(13, n=30)
+        metrics[2] *= 1e307
+        table = gram_table(list(metrics) + list(mediators) + [y], 20, 0)
+        for i, t in enumerate(metrics):
+            for j, m in enumerate(mediators):
+                columns = (i, self.N_METRICS + j, self.N_METRICS + self.N_MEDIATORS)
+                if i == 2:
+                    with pytest.raises(NumericOverflow):
+                        mediate(t, m, y, n_boot=20, seed=0, table=table, columns=columns)
+                else:
+                    got = mediate(t, m, y, n_boot=20, seed=0, table=table, columns=columns)
+                    self.assert_same(got, mediate(t, m, y, n_boot=20, seed=0))
+
+    def test_table_of_other_rows_rejected(self):
+        metrics, mediators, y = self.system(17, n=30)
+        table = gram_table([metrics[0], mediators[0], y], 20, 0)
+        with pytest.raises(ValueError):
+            mediate(metrics[0], mediators[0], y, n_boot=20, seed=1, table=table)
