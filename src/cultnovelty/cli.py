@@ -76,7 +76,7 @@ def build_parser() -> _Parser:
         ("build", "construct split manifests and the eligibility report"),
         ("score", "score variations from split manifests into scores.csv"),
         ("analyze", "correlation/regression/mediation tables from scores"),
-        ("distances", "precompute IW and GEO matrices from the registry"),
+        ("distances", "write the registry's IW and GEO matrices that analyze uses"),
         ("report", "bundle the analyze tables with digests"),
     ):
         cmd = sub.add_parser(name, help=help_text)

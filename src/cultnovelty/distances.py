@@ -1,9 +1,12 @@
 """Country registry and the four country-pair cultural distances.
 
-Traditional/survival coordinates and capital positions feed the two
-computed distances (Euclidean on the cultural map, haversine between
-capitals); linguistic and religious distances are load-only CSV matrices
-from user-supplied files. Unknown pairs are reported, never imputed.
+Each kind is one ``DistanceMatrix``, and ``distance_matrices`` builds them
+all. IW (Euclidean on the traditional/survival cultural map) and GEO
+(haversine between capitals) are computed from the registry's coordinates
+over every pair of its countries; linguistic and religious are loaded from
+user-supplied CSV files. Every kind follows one self-pair rule: a registry
+country is at distance 0 from itself, whether or not it has coordinates or
+a file lists its self-pair. Other unknown pairs are reported, never imputed.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .errors import MissingCoordinates, ParseError, UnknownCountry
 from .ingest import check_country, parse_json
 
 EARTH_RADIUS_KM = 6371.0
+DISTANCE_KINDS = ("iw", "geo", "linguistic", "religious")
 
 
 @dataclass(frozen=True)
@@ -234,9 +238,9 @@ def load_distance_matrix(path: Union[str, Path], registry: Registry) -> Distance
 
 def compute_matrix(registry: Registry, kind: str) -> DistanceMatrix:
     """IW or GEO matrix over every registry pair with the needed coordinates."""
-    if kind not in ("IW", "GEO"):
-        raise ValueError("compute_matrix only builds IW or GEO matrices")
-    fn = iw_distance if kind == "IW" else geo_distance
+    if kind not in ("iw", "geo"):
+        raise ValueError("compute_matrix only builds iw or geo matrices")
+    fn = iw_distance if kind == "iw" else geo_distance
     entries: dict[tuple[str, str], float] = {}
     isos = list(registry)
     for i, a in enumerate(isos):
@@ -246,3 +250,16 @@ def compute_matrix(registry: Registry, kind: str) -> DistanceMatrix:
             except MissingCoordinates:
                 continue
     return DistanceMatrix(entries=entries)
+
+
+def distance_matrices(
+    registry: Registry,
+    linguistic_path: Optional[Union[str, Path]] = None,
+    religious_path: Optional[Union[str, Path]] = None,
+) -> dict[str, DistanceMatrix]:
+    """Each distance kind's matrix, in DISTANCE_KINDS order; a kind without a file is left out."""
+    matrices = {kind: compute_matrix(registry, kind) for kind in ("iw", "geo")}
+    for kind, path in (("linguistic", linguistic_path), ("religious", religious_path)):
+        if path:
+            matrices[kind] = load_distance_matrix(path, registry)
+    return matrices

@@ -60,7 +60,7 @@ class LengthMismatch(CultNoveltyError):
 
 
 class ConstantSeries(CultNoveltyError):
-    """A correlation input has zero variance."""
+    """A correlation input or a regression response has zero variance."""
 
 
 class AllTied(CultNoveltyError):

@@ -34,12 +34,11 @@ from .builder import (
 from .corpus import ControlVars, Document, NoveltyScores, control_variables
 from .distances import (
     BUNDLED_REGISTRY,
+    DISTANCE_KINDS,
+    DistanceMatrix,
     Registry,
     bundled_registry,
-    compute_matrix,
-    geo_distance,
-    iw_distance,
-    load_distance_matrix,
+    distance_matrices,
     load_registry,
 )
 from .errors import (
@@ -49,11 +48,9 @@ from .errors import (
     IneligibleDish,
     InsufficientKB,
     InsufficientObservations,
-    MissingCoordinates,
     NumericOverflow,
     ParseError,
     RankDeficient,
-    UnknownCountry,
 )
 from .ingest import PROVIDERS, parse_json, read_documents, write_documents
 
@@ -94,7 +91,6 @@ METRIC_COLUMNS = NoveltyScores._fields
 CONTROL_COLUMNS = ControlVars._fields
 SCORE_COLUMNS = ("product", "kb_culture", "variation_id", "variation_culture") + METRIC_COLUMNS + CONTROL_COLUMNS
 FIVE_METRICS = ("newness", "uniqueness", "difference", "new_surprise", "divergent_surprise")
-DISTANCE_KINDS = ("iw", "geo", "linguistic", "religious")
 # the analyze stage's tables with their headers, in the order they are written
 ANALYZE_TABLES = {
     "correlations_metrics.csv": (
@@ -546,28 +542,6 @@ def _read_scores(path: Path) -> list[dict]:
     return rows
 
 
-def _attach_distances(rows: list[dict], registry: Registry, config: RunConfig) -> None:
-    matrices = {
-        kind: load_distance_matrix(path, registry)
-        for kind, path in (("linguistic", config.linguistic_path), ("religious", config.religious_path))
-        if path
-    }
-    for row in rows:
-        a, b = row["kb_culture"], row["variation_culture"]
-        row["iw"] = row["geo"] = row["linguistic"] = row["religious"] = None
-        try:
-            rec_a, rec_b = registry.get(a), registry.get(b)
-        except UnknownCountry:
-            continue
-        for kind, distance in (("iw", iw_distance), ("geo", geo_distance)):
-            try:
-                row[kind] = distance(rec_a, rec_b)
-            except MissingCoordinates:
-                pass
-        for kind, matrix in matrices.items():
-            row[kind] = matrix.get(a, b)
-
-
 def _ranking(rows: list[dict], metric: str) -> list[str]:
     ordered = sorted(rows, key=lambda r: (-r[metric], r["variation_id"]))
     return [r["variation_id"] for r in ordered]
@@ -612,11 +586,13 @@ def _metric_correlations(rows: list[dict], config: RunConfig) -> list[list[str]]
     return out
 
 
-def _distance_tables(rows: list[dict], config: RunConfig) -> tuple[list[list[str]], ...]:
+def _distance_tables(
+    rows: list[dict], registry: Registry, matrices: dict[str, DistanceMatrix], config: RunConfig
+) -> tuple[list[list[str]], ...]:
     """The distance correlation, regression, marginal and mediation tables.
 
-    Each distance kind is one pass over the rows that carry it; each table
-    lists its rows by kind, in DISTANCE_KINDS order.
+    Each distance kind is one pass over the rows its matrix covers; each
+    table lists its rows by kind, in DISTANCE_KINDS order.
     """
     import numpy as np
 
@@ -625,12 +601,18 @@ def _distance_tables(rows: list[dict], config: RunConfig) -> tuple[list[list[str
     marginal: list[list[str]] = []
     mediation: list[list[str]] = []
     terms = ("const",) + FIVE_METRICS + CONTROL_COLUMNS
+    # a country the registry lacks has no distance of any kind, not even to itself
+    known = [r for r in rows if r["kb_culture"] in registry and r["variation_culture"] in registry]
     for kind in DISTANCE_KINDS:
-        subset = [r for r in rows if r[kind] is not None]
+        matrix = matrices.get(kind)
+        pairs = [] if matrix is None else [
+            (r, matrix.get(r["kb_culture"], r["variation_culture"])) for r in known
+        ]
+        subset = [r for r, d in pairs if d is not None]
+        y = [d for _, d in pairs if d is not None]
         n = len(subset)
         if n < len(rows):
             log.warning("analyze: %d/%d rows lack a %s distance", len(rows) - n, len(rows), kind)
-        y = [r[kind] for r in subset]
         columns = {col: [r[col] for r in subset] for col in terms[1:]}
 
         for metric in FIVE_METRICS:
@@ -648,7 +630,7 @@ def _distance_tables(rows: list[dict], config: RunConfig) -> tuple[list[list[str
         design = np.column_stack([np.ones(n)] + [columns[col] for col in terms[1:]])
         try:
             full = ols(design, y, names=terms)
-        except (RankDeficient, InsufficientObservations, NumericOverflow) as exc:
+        except (ConstantSeries, RankDeficient, InsufficientObservations, NumericOverflow) as exc:
             log.warning("analyze: full %s regression skipped (%s)", kind, exc)
         else:
             per_term = (full.coefficients, full.std_errors, full.t_stats, full.p_values)
@@ -661,7 +643,7 @@ def _distance_tables(rows: list[dict], config: RunConfig) -> tuple[list[list[str
             single = np.column_stack([np.ones(n), columns[metric]])
             try:
                 result = ols(single, y, names=("const", metric))
-            except (RankDeficient, InsufficientObservations, NumericOverflow) as exc:
+            except (ConstantSeries, RankDeficient, InsufficientObservations, NumericOverflow) as exc:
                 log.warning("analyze: marginal %s ~ %s skipped (%s)", kind, metric, exc)
                 continue
             values = (result.r_squared, result.coefficients[metric], result.p_values[metric])
@@ -704,12 +686,12 @@ def cmd_analyze(config: RunConfig, scores_path: Optional[Union[str, Path]] = Non
     scores_path = Path(scores_path)
     rows = _read_scores(scores_path)
     registry = load_registry(config.registry_path)
-    _attach_distances(rows, registry, config)
+    matrices = distance_matrices(registry, config.linguistic_path, config.religious_path)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = [[]] * len(ANALYZE_TABLES)
     if rows:
-        tables = [_metric_correlations(rows, config), *_distance_tables(rows, config)]
+        tables = [_metric_correlations(rows, config), *_distance_tables(rows, registry, matrices, config)]
     written = []
     for (name, header), table in zip(ANALYZE_TABLES.items(), tables):
         path = out_dir / name
@@ -733,18 +715,14 @@ def cmd_analyze(config: RunConfig, scores_path: Optional[Union[str, Path]] = Non
 
 
 def cmd_distances(config: RunConfig) -> list[str]:
-    """Precompute the IW and GEO matrices from the registry as CSV files."""
-    registry = load_registry(config.registry_path)
+    """Write the IW and GEO matrices that analyze uses, as CSV files."""
+    matrices = distance_matrices(load_registry(config.registry_path))
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for kind, name in (("IW", "iw.csv"), ("GEO", "geo.csv")):
-        matrix = compute_matrix(registry, kind)
-        rows = [
-            (a, b, fmt_float(matrix.entries[(a, b)]))
-            for (a, b) in sorted(matrix.entries)
-        ]
-        path = out_dir / name
+    for kind, matrix in matrices.items():
+        rows = [(a, b, fmt_float(d)) for (a, b), d in sorted(matrix.entries.items())]
+        path = out_dir / f"{kind}.csv"
         _write_csv(path, ("iso_a", "iso_b", "distance"), rows)
         written.append(str(path))
     return written

@@ -282,7 +282,8 @@ def ols(
     """Least squares through a QR decomposition, with classical inference.
 
     The design matrix must already include its intercept column. Raises
-    NumericOverflow when a sum of squares or a standard error overflows float64.
+    ConstantSeries when every response is equal, and NumericOverflow when a
+    sum of squares or a standard error overflows float64.
     """
     X = np.asarray(design, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -297,6 +298,8 @@ def ols(
         names = ["const"] + [f"x{i}" for i in range(1, k)]
     if len(names) != k:
         raise ValueError("one name per design column required")
+    if yv.min() == yv.max():  # nothing to explain: r squared and every p would be degenerate
+        raise ConstantSeries("regression is undefined for a constant response")
 
     # finite inputs can still overflow float64 on the way; the check below catches that
     with np.errstate(over="ignore", invalid="ignore"):

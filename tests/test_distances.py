@@ -4,8 +4,11 @@ import random
 import pytest
 
 from cultnovelty.distances import (
+    DISTANCE_KINDS,
     CountryRecord,
+    Registry,
     compute_matrix,
+    distance_matrices,
     geo_distance,
     iw_distance,
     load_distance_matrix,
@@ -176,7 +179,7 @@ class TestDistanceMatrix:
 class TestComputeMatrix:
     def test_iw_and_geo_cover_registry(self):
         registry = load_registry()
-        for kind in ("IW", "GEO"):
+        for kind in ("iw", "geo"):
             matrix = compute_matrix(registry, kind)
             n = len(registry)
             assert len(matrix) == n * (n - 1) // 2
@@ -185,3 +188,31 @@ class TestComputeMatrix:
     def test_rejects_loaded_kinds(self):
         with pytest.raises(ValueError):
             compute_matrix(load_registry(), "LINGUISTIC")
+
+    @pytest.mark.parametrize("kind, distance", [("iw", iw_distance), ("geo", geo_distance)])
+    def test_entries_equal_the_distance_of_every_ordered_pair(self, kind, distance):
+        # analyze reads a row's pair from one symmetric entry, in either order
+        registry = load_registry()
+        matrix = compute_matrix(registry, kind)
+        for a in registry:
+            for b in registry:
+                assert matrix.get(a, b) == distance(registry.get(a), registry.get(b)), (a, b)
+
+    def test_country_without_coordinates_is_at_zero_from_itself_only(self):
+        registry = Registry([record("AA"), record("BB", iw=(0, 0), capital=(0, 0))])
+        for kind in ("iw", "geo"):
+            matrix = compute_matrix(registry, kind)
+            assert matrix.get("AA", "AA") == matrix.get("BB", "BB") == 0.0
+            assert matrix.get("AA", "BB") is None
+
+
+class TestDistanceMatrices:
+    def test_kinds_in_order_and_a_kind_without_a_file_left_out(self, tmp_path):
+        registry = load_registry()
+        assert list(distance_matrices(registry)) == ["iw", "geo"]
+        path = tmp_path / "religious.csv"
+        path.write_text("iso_a,iso_b,distance\nFR,DE,0.5\n")
+        matrices = distance_matrices(registry, religious_path=path)
+        assert list(matrices) == [k for k in DISTANCE_KINDS if k != "linguistic"]
+        assert matrices["religious"].get("DE", "FR") == 0.5
+        assert matrices["iw"].entries == compute_matrix(registry, "iw").entries

@@ -1,0 +1,72 @@
+"""Relations that must hold across the whole pipeline, run through the CLI.
+
+Each relation transforms an input and states exactly how the outputs must
+move. An oracle checks one kernel against its scalar twin; these catch a
+fault that a kernel and its oracle share, or one in the plumbing between
+stages, such as a distance joined to the wrong kind.
+"""
+
+import csv
+
+import pytest
+
+from cultnovelty.cli import main
+
+from conftest import FIXTURES
+
+SCORES = FIXTURES / "golden" / "scores.csv"
+LINGUISTIC = FIXTURES / "linguistic.csv"
+RELIGIOUS = FIXTURES / "religious.csv"
+
+# the distance tables, and in each the cells that scale with the distance;
+# every other cell (labels, n, r, r squared, t and every p) must not move
+DISTANCE_TABLES = {
+    "correlations_distances.csv": set(),
+    "regressions.csv": {"coef", "std_err"},
+    "marginal.csv": {"coef"},
+    "mediation.csv": {
+        "total_effect", "acme", "ade", "acme_ci_low", "acme_ci_high",
+        "ade_ci_low", "ade_ci_high", "total_ci_low", "total_ci_high",
+    },
+}
+
+
+def analyze(out, linguistic, n_boot):
+    assert main(["analyze", "--scores", str(SCORES), "--linguistic", str(linguistic),
+                 "--religious", str(RELIGIOUS), "--n-boot", str(n_boot),
+                 "--output-dir", str(out)]) == 0
+    tables = {}
+    for name in DISTANCE_TABLES:
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            tables[name] = list(csv.reader(fh))
+    return tables
+
+
+@pytest.mark.parametrize("n_boot", [0, 20])
+def test_distance_scale(tmp_path, n_boot):
+    # A power-of-two factor is exact in every float operation, so the relation
+    # holds bit for bit: pearson rescales its inputs by a power of two, QR is
+    # linear in the response, and the bootstrap draws do not see the distance.
+    factor = 8.0
+    lines = LINGUISTIC.read_text(encoding="utf-8").splitlines()
+    scaled = tmp_path / "linguistic.csv"
+    scaled.write_text(
+        "\n".join([lines[0]] + [f"{a},{b},{float(d) * factor!r}"
+                                for a, b, d in (line.split(",") for line in lines[1:])]) + "\n",
+        encoding="utf-8",
+    )
+    base = analyze(tmp_path / "base", LINGUISTIC, n_boot)
+    moved = analyze(tmp_path / "scaled", scaled, n_boot)
+
+    for name, scaling in DISTANCE_TABLES.items():
+        header, *base_rows = base[name]
+        assert moved[name][0] == header
+        assert len(moved[name]) - 1 == len(base_rows)
+        assert any(row[0] == "linguistic" for row in base_rows), name
+        for base_row, moved_row in zip(base_rows, moved[name][1:]):
+            for column, b, m in zip(header, base_row, moved_row):
+                where = (name, base_row[:4], column)
+                if base_row[0] == "linguistic" and column in scaling and b:
+                    assert float(m) == factor * float(b), where
+                else:
+                    assert m == b, where

@@ -688,6 +688,56 @@ class TestAnalyze:
         n_by_kind = {row[0]: row[2] for row in read_csv(out / "correlations_distances.csv")[1:]}
         assert n_by_kind["linguistic"] == n_by_kind["iw"]
 
+    def test_country_without_cultural_map_coordinates_keeps_its_same_country_rows(
+        self, tmp_path, caplog
+    ):
+        # the self-pair rule holds for iw too: MA is at 0 from itself, and at no
+        # distance from any other country
+        entries = json.loads(bundled_registry().read_text("utf-8"))
+        for entry in entries:
+            if entry["iso"] == "MA":
+                entry["iw"] = None
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps(entries), encoding="utf-8")
+        rows = read_csv(GOLDEN_SCORES)[1:]
+        involved = [row for row in rows if "MA" in (row[1], row[3])]
+        lacking = sum(row[1] != row[3] for row in involved)
+        assert 0 < lacking < len(involved)  # MA has same-country rows and others
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="cultnovelty.pipeline"):
+            code = main(["analyze", "--scores", str(GOLDEN_SCORES), "--registry", str(registry),
+                         "--linguistic", LINGUISTIC, "--religious", RELIGIOUS, "--n-boot", "0",
+                         "--output-dir", str(out)])
+        assert code == 0
+        assert [m for m in caplog.messages if "rows lack" in m] == [
+            f"analyze: {lacking}/{len(rows)} rows lack a iw distance"
+        ]
+        n_by_kind = {row[0]: int(row[2]) for row in read_csv(out / "correlations_distances.csv")[1:]}
+        assert n_by_kind == {"iw": len(rows) - lacking, "geo": len(rows),
+                             "linguistic": len(rows), "religious": len(rows)}
+
+    def test_distance_file_of_only_a_header_gives_no_regression(self, tmp_path, caplog):
+        # such a file covers only the same-country rows, every one at distance 0:
+        # a constant response, which no correlation or regression can explain
+        linguistic = tmp_path / "linguistic.csv"
+        linguistic.write_text("iso_a,iso_b,distance\n", encoding="utf-8")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="cultnovelty.pipeline"):
+            code = main(["analyze", "--scores", str(GOLDEN_SCORES), "--linguistic", str(linguistic),
+                         "--religious", RELIGIOUS, "--n-boot", "0", "--output-dir", str(out)])
+        assert code == 0
+        same = sum(row[1] == row[3] for row in read_csv(GOLDEN_SCORES)[1:])
+        correlations = read_csv(out / "correlations_distances.csv")[1:]
+        assert [row[2:] for row in correlations if row[0] == "linguistic"] == [[str(same), "", ""]] * 5
+        for name in ("regressions.csv", "marginal.csv"):
+            assert {row[0] for row in read_csv(out / name)[1:]} == {"iw", "geo", "religious"}
+        metrics = ("newness", "uniqueness", "difference", "new_surprise", "divergent_surprise")
+        assert [m for m in caplog.messages if m.startswith("analyze: marginal")] == [
+            f"analyze: marginal linguistic ~ {metric} skipped "
+            "(regression is undefined for a constant response)"
+            for metric in metrics
+        ]
+
 
 class TestOverflowingRegression:
     def test_distances_that_overflow_a_regression_skip_it(self, tmp_path, caplog):

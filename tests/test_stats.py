@@ -317,6 +317,13 @@ class TestOls:
         with pytest.raises(InsufficientObservations):
             ols(np.ones((2, 2)), [1.0, 2.0])
 
+    @pytest.mark.parametrize("value", [0.0, 0.1, -3e12])
+    def test_constant_response_raises(self, value):
+        # nothing to explain: a fit would report r squared 1 and p 0 for every term
+        x = np.arange(8, dtype=float)
+        with pytest.raises(ConstantSeries):
+            ols(np.column_stack([np.ones(8), x]), [value] * 8, names=("const", "x"))
+
     def test_matches_reference_implementation(self):
         # golden values frozen from an independent statistics package
         rng = np.random.default_rng(2718)
