@@ -4,9 +4,11 @@ Each kind is one ``DistanceMatrix``, and ``distance_matrices`` builds them
 all. IW (Euclidean on the traditional/survival cultural map) and GEO
 (haversine between capitals) are computed from the registry's coordinates
 over every pair of its countries; linguistic and religious are loaded from
-user-supplied CSV files. Every kind follows one self-pair rule: a registry
-country is at distance 0 from itself, whether or not it has coordinates or
-a file lists its self-pair. Other unknown pairs are reported, never imputed.
+user-supplied CSV files. Every matrix holds the registry's countries and
+follows one country rule: a country outside the registry has no distance of
+any kind, not even to itself, and a registry country is at distance 0 from
+itself, whether or not it has coordinates or a file lists its self-pair.
+Other unknown pairs are reported, never imputed.
 """
 
 from __future__ import annotations
@@ -180,15 +182,20 @@ def _pair_key(a: str, b: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric sparse country-pair distance table.
+    """Symmetric sparse country-pair distance table over a registry's countries.
 
-    A country is at distance 0 from itself whether or not its self-pair is
-    listed: the loader rejects any other self-distance.
+    ``get`` gives None when either country is outside the registry, 0 for a
+    registry country paired with itself whether or not its self-pair is
+    listed (the loader rejects any other self-distance), and the listed
+    entry, or None, for any other pair.
     """
 
     entries: Mapping[tuple[str, str], float]
+    countries: frozenset[str]
 
     def get(self, a: str, b: str) -> Optional[float]:
+        if a not in self.countries or b not in self.countries:
+            return None
         if a == b:
             return 0.0
         return self.entries.get(_pair_key(a, b))
@@ -209,7 +216,7 @@ def load_distance_matrix(path: Union[str, Path], registry: Registry) -> Distance
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            return DistanceMatrix(entries={})
+            return DistanceMatrix(entries={}, countries=frozenset(registry))
         if [c.strip().lower() for c in header] != ["iso_a", "iso_b", "distance"]:
             raise ParseError(f"{path}: expected header iso_a,iso_b,distance, got {header}")
         for line_no, row in enumerate(reader, start=2):
@@ -233,7 +240,7 @@ def load_distance_matrix(path: Union[str, Path], registry: Registry) -> Distance
             if key in entries and entries[key] != value:
                 raise ParseError(f"{path}:{line_no}: pair {key} already set to {entries[key]}, got {value}")
             entries[key] = value
-    return DistanceMatrix(entries=entries)
+    return DistanceMatrix(entries=entries, countries=frozenset(registry))
 
 
 def compute_matrix(registry: Registry, kind: str) -> DistanceMatrix:
@@ -249,7 +256,7 @@ def compute_matrix(registry: Registry, kind: str) -> DistanceMatrix:
                 entries[_pair_key(a, b)] = fn(registry.get(a), registry.get(b))
             except MissingCoordinates:
                 continue
-    return DistanceMatrix(entries=entries)
+    return DistanceMatrix(entries=entries, countries=frozenset(registry))
 
 
 def distance_matrices(

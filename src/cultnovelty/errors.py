@@ -80,4 +80,4 @@ class InsufficientObservations(CultNoveltyError):
 
 
 class NumericOverflow(CultNoveltyError):
-    """A series is too large in magnitude for float64 arithmetic."""
+    """A series is too large, or its spread too small, in magnitude for float64 arithmetic."""

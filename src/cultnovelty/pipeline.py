@@ -55,6 +55,8 @@ from .errors import (
 from .ingest import PROVIDERS, parse_json, read_documents, write_documents
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .metrics import KnowledgeSpace, Variation
 
 log = logging.getLogger(__name__)
@@ -91,6 +93,7 @@ METRIC_COLUMNS = NoveltyScores._fields
 CONTROL_COLUMNS = ControlVars._fields
 SCORE_COLUMNS = ("product", "kb_culture", "variation_id", "variation_culture") + METRIC_COLUMNS + CONTROL_COLUMNS
 FIVE_METRICS = ("newness", "uniqueness", "difference", "new_surprise", "divergent_surprise")
+Labels = tuple[str, str, str, str]  # a score row's product, kb_culture, variation_id, variation_culture
 # the analyze stage's tables with their headers, in the order they are written
 ANALYZE_TABLES = {
     "correlations_metrics.csv": (
@@ -512,82 +515,86 @@ def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Pa
 # analyze
 
 
-def _read_scores(path: Path) -> list[dict]:
-    rows = []
+def _read_scores(path: Path) -> tuple[list[Labels], np.ndarray]:
+    """Each row's labels, and an n x 8 float64 array of its FIVE_METRICS + CONTROL_COLUMNS."""
+    import numpy as np
+
+    numeric = METRIC_COLUMNS + CONTROL_COLUMNS
+    labels: list[Labels] = []
+    cells: list[float] = []
     seen: set[tuple[str, str, str]] = set()
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != SCORE_COLUMNS:
-            raise ParseError(f"{path}: unexpected scores header {reader.fieldnames}")
-        for row in reader:
-            if None in row:  # DictReader files the cells past the header under None
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != SCORE_COLUMNS:
+            raise ParseError(f"{path}: unexpected scores header {header}")
+        for row in filter(None, reader):  # skips blank lines, as csv.DictReader does
+            if len(row) > len(SCORE_COLUMNS):
                 raise ParseError(f"{path}:{reader.line_num}: more cells than the header")
-            for col in METRIC_COLUMNS + CONTROL_COLUMNS:
-                if row[col] is None:
-                    raise ParseError(f"{path}:{reader.line_num}: {col} is missing")
+            for col, cell in zip(numeric, row[4:]):
                 try:
-                    value = float(row[col])
+                    value = float(cell)
                 except ValueError:
                     value = math.nan
                 if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}:{reader.line_num}: {col} is not a finite number: {row[col]!r}"
-                    )
-                row[col] = value
-            key = (row["product"], row["kb_culture"], row["variation_id"])
+                    raise ParseError(f"{path}:{reader.line_num}: {col} is not a finite number: {cell!r}")
+                cells.append(value)
+            if len(row) < len(SCORE_COLUMNS):
+                raise ParseError(f"{path}:{reader.line_num}: {SCORE_COLUMNS[max(len(row), 4)]} is missing")
+            key = tuple(row[:3])
             if key in seen:  # each split ranks its variations by id
                 raise ParseError(f"{path}:{reader.line_num}: repeated row for {'/'.join(key)}")
             seen.add(key)
-            rows.append(row)
-    return rows
+            labels.append(tuple(row[:4]))
+    kept = [numeric.index(col) for col in FIVE_METRICS + CONTROL_COLUMNS]
+    return labels, np.array(cells).reshape(-1, len(numeric))[:, kept]
 
 
-def _ranking(rows: list[dict], metric: str) -> list[str]:
-    ordered = sorted(rows, key=lambda r: (-r[metric], r["variation_id"]))
-    return [r["variation_id"] for r in ordered]
-
-
-def _metric_correlations(rows: list[dict], config: RunConfig) -> list[list[str]]:
-    groups: dict[tuple[str, str], list[dict]] = {}
-    for row in rows:
-        groups.setdefault((row["product"], row["kb_culture"]), []).append(row)
-    # each split of 3 or more variations: its size, and each metric's values and ranking
-    splits = [
-        (len(group), {m: ([r[m] for r in group], _ranking(group, m)) for m in FIVE_METRICS})
-        for _, group in sorted(groups.items())
-        if len(group) >= 3
-    ]
+def _metric_correlations(labels: list[Labels], values: np.ndarray, config: RunConfig) -> list[list[str]]:
+    groups: dict[tuple[str, str], list[int]] = {}
+    for i, (product, kb_culture, _, _) in enumerate(labels):
+        groups.setdefault((product, kb_culture), []).append(i)
+    # each split of 3 or more variations: its size, each metric's values, and
+    # each metric's ranking of the variation ids (highest first, ties by id)
+    splits = []
+    for _, rows in sorted(groups.items()):
+        if len(rows) < 3:
+            continue
+        ids = [labels[i][2] for i in rows]
+        metric_values = values[rows, : len(FIVE_METRICS)].T
+        rankings = [[i for _, i in sorted(zip([-v for v in column], ids))]
+                    for column in metric_values.tolist()]
+        splits.append((len(rows), metric_values, rankings))
 
     out = []
-    for i, metric_a in enumerate(FIVE_METRICS):
-        for metric_b in FIVE_METRICS[i + 1 :]:
+    for a, metric_a in enumerate(FIVE_METRICS):
+        for b in range(a + 1, len(FIVE_METRICS)):
             try:
-                r_val, r_p = pearson([r[metric_a] for r in rows], [r[metric_b] for r in rows])
+                r_val, r_p = pearson(values[:, a], values[:, b])
                 pearson_cells = [fmt_float(r_val), fmt_float(r_p)]
             except (ConstantSeries, InsufficientObservations):
                 pearson_cells = ["", ""]
             taus, tau_ps, rbos, weights = [], [], [], []
-            for size, by_metric in splits:
-                (xs, ranks_a), (ys, ranks_b) = by_metric[metric_a], by_metric[metric_b]
+            for size, metric_values, rankings in splits:
                 try:
-                    tau, tau_p = kendall_tau(xs, ys)
+                    tau, tau_p = kendall_tau(metric_values[a], metric_values[b])
                 except (AllTied, InsufficientObservations):
                     continue
                 taus.append(tau)
                 tau_ps.append(tau_p)
-                rbos.append(rbo(ranks_a, ranks_b, config.rbo_p))
+                rbos.append(rbo(rankings[a], rankings[b], config.rbo_p))
                 weights.append(size)
             split_cells = ["", "", ""]  # kendall_tau, kendall_p and rbo: means weighted by size
             if weights:
                 w = sum(weights)
-                split_cells = [fmt_float(sum(v * g for v, g in zip(values, weights)) / w)
-                               for values in (taus, tau_ps, rbos)]
-            out.append([metric_a, metric_b] + pearson_cells + split_cells)
+                split_cells = [fmt_float(sum(v * g for v, g in zip(series, weights)) / w)
+                               for series in (taus, tau_ps, rbos)]
+            out.append([metric_a, FIVE_METRICS[b]] + pearson_cells + split_cells)
     return out
 
 
 def _distance_tables(
-    rows: list[dict], registry: Registry, matrices: dict[str, DistanceMatrix], config: RunConfig
+    labels: list[Labels], values: np.ndarray, matrices: dict[str, DistanceMatrix], config: RunConfig
 ) -> tuple[list[list[str]], ...]:
     """The distance correlation, regression, marginal and mediation tables.
 
@@ -601,35 +608,30 @@ def _distance_tables(
     marginal: list[list[str]] = []
     mediation: list[list[str]] = []
     terms = ("const",) + FIVE_METRICS + CONTROL_COLUMNS
-    # a country the registry lacks has no distance of any kind, not even to itself
-    known = [r for r in rows if r["kb_culture"] in registry and r["variation_culture"] in registry]
     for kind in DISTANCE_KINDS:
-        matrix = matrices.get(kind)
-        pairs = [] if matrix is None else [
-            (r, matrix.get(r["kb_culture"], r["variation_culture"])) for r in known
-        ]
-        subset = [r for r, d in pairs if d is not None]
-        y = [d for _, d in pairs if d is not None]
-        n = len(subset)
-        if n < len(rows):
-            log.warning("analyze: %d/%d rows lack a %s distance", len(rows) - n, len(rows), kind)
-        columns = {col: [r[col] for r in subset] for col in terms[1:]}
+        # None, a pair without a distance, becomes NaN; every distance a matrix holds is finite
+        get = matrices[kind].get if kind in matrices else lambda a, b: None
+        distance = np.array([get(kb, culture) for _, kb, _, culture in labels], dtype=float)
+        covered = ~np.isnan(distance)
+        y, x = distance[covered], values[covered]
+        n = len(y)
+        if n < len(labels):
+            log.warning("analyze: %d/%d rows lack a %s distance", len(labels) - n, len(labels), kind)
 
-        for metric in FIVE_METRICS:
+        for k, metric in enumerate(FIVE_METRICS):
             cells = ["", ""]
             if n >= 3:
                 try:
-                    cells = [fmt_float(v) for v in pearson(columns[metric], y)]
+                    cells = [fmt_float(v) for v in pearson(x[:, k], y)]
                 except ConstantSeries:
                     pass
             correlations.append([kind, metric, str(n)] + cells)
 
-        if not subset:
+        if not n:
             log.warning("analyze: no rows carry a %s distance; regression skipped", kind)
             continue
-        design = np.column_stack([np.ones(n)] + [columns[col] for col in terms[1:]])
         try:
-            full = ols(design, y, names=terms)
+            full = ols(np.column_stack([np.ones(n), x]), y, names=terms)
         except (ConstantSeries, RankDeficient, InsufficientObservations, NumericOverflow) as exc:
             log.warning("analyze: full %s regression skipped (%s)", kind, exc)
         else:
@@ -639,28 +641,25 @@ def _distance_tables(
                 + [fmt_float(column[term]) for column in per_term]
                 for term in terms
             )
-        for metric in FIVE_METRICS:
-            single = np.column_stack([np.ones(n), columns[metric]])
+        for k, metric in enumerate(FIVE_METRICS):
             try:
-                result = ols(single, y, names=("const", metric))
+                result = ols(np.column_stack([np.ones(n), x[:, k]]), y, names=("const", metric))
             except (ConstantSeries, RankDeficient, InsufficientObservations, NumericOverflow) as exc:
                 log.warning("analyze: marginal %s ~ %s skipped (%s)", kind, metric, exc)
                 continue
-            values = (result.r_squared, result.coefficients[metric], result.p_values[metric])
-            marginal.append([kind, metric, str(result.n_obs)] + [fmt_float(v) for v in values])
+            fit = (result.r_squared, result.coefficients[metric], result.p_values[metric])
+            marginal.append([kind, metric, str(result.n_obs)] + [fmt_float(v) for v in fit])
 
         if n < MIN_MEDIATION_ROWS:
             continue
         # one bootstrap Gram pass for the kind's 15 mediations; each still goes
         # through pipeline.mediate, the name the benchmark's tracer wraps
-        table = gram_table([columns[col] for col in terms[1:]] + [y], config.n_boot, config.seed)
-        in_table = {col: k for k, col in enumerate(terms[1:])}
-        for metric in FIVE_METRICS:
-            for mediator in CONTROL_COLUMNS:
+        table = gram_table([*x.T, y], config.n_boot, config.seed)
+        outcome = x.shape[1]
+        for k, metric in enumerate(FIVE_METRICS):
+            for j, mediator in enumerate(CONTROL_COLUMNS, start=len(FIVE_METRICS)):
                 try:
-                    result = mediate(columns[metric], columns[mediator], y,
-                                     n_boot=config.n_boot, seed=config.seed, table=table,
-                                     columns=(in_table[metric], in_table[mediator], len(in_table)))
+                    result = mediate(table, columns=(k, j, outcome))
                 except CultNoveltyError as exc:
                     log.warning(
                         "analyze: mediation %s/%s/%s skipped (%s)", kind, metric, mediator, exc
@@ -684,14 +683,15 @@ def cmd_analyze(config: RunConfig, scores_path: Optional[Union[str, Path]] = Non
     if scores_path is None:
         scores_path = out_dir / "scores.csv"
     scores_path = Path(scores_path)
-    rows = _read_scores(scores_path)
+    labels, values = _read_scores(scores_path)
     registry = load_registry(config.registry_path)
     matrices = distance_matrices(registry, config.linguistic_path, config.religious_path)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = [[]] * len(ANALYZE_TABLES)
-    if rows:
-        tables = [_metric_correlations(rows, config), *_distance_tables(rows, registry, matrices, config)]
+    if labels:
+        tables = [_metric_correlations(labels, values, config),
+                  *_distance_tables(labels, values, matrices, config)]
     written = []
     for (name, header), table in zip(ANALYZE_TABLES.items(), tables):
         path = out_dir / name
@@ -707,7 +707,7 @@ def cmd_analyze(config: RunConfig, scores_path: Optional[Union[str, Path]] = Non
     manifest_path = out_dir / "run_manifest.json"
     _write_json(manifest_path, _run_manifest(config, inputs, written))
     written.append(str(manifest_path))
-    return {"outputs": written, "rows": len(rows)}
+    return {"outputs": written, "rows": len(labels)}
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ Correlation (Pearson, tau-b), top-weighted ranking overlap, OLS with
 classical inference, and linear product-of-coefficients mediation (Imai,
 Keele & Tingley 2010) with a seeded percentile bootstrap (Efron &
 Tibshirani 1993). The bootstrap draws each (seed, n, n_boot) resample set
-once. One Gram table per row set holds every replicate's count-weighted
-Gram entries over all of that set's standardized columns; each mediation
-slices its own 4x4 matrices out of it and solves all of its replicates at
-once, and rank-deficient replicates fall back to minimum-norm least
-squares. Kendall's tau-b takes its pair signs by comparison, as sign
-matrices in row blocks. Implementations are written against numpy and the
-standard library; the test suite checks them against independent oracles.
+once. One Gram table per row set fixes its rows, n_boot and seed, and holds
+every replicate's count-weighted Gram entries over all of that set's
+standardized columns, and the raw columns. A mediation reads only its
+table: it slices its own 4x4 matrices out of it and solves all of its
+replicates at once, and rank-deficient replicates fall back to
+minimum-norm least squares on the raw columns. Kendall's tau-b takes its
+pair signs by comparison, as sign matrices in row blocks. Implementations
+are written against numpy and the standard library; the test suite checks
+them against independent oracles.
 
 The t-test p-value is the regularized incomplete beta I_x(df/2, 1/2),
 evaluated by the modified Lentz method (Numerical Recipes, 3rd ed., sections
@@ -86,12 +88,14 @@ class MediationResult:
     n_boot: int
 
 
-def _paired(x: Sequence[float], y: Sequence[float], min_n: int) -> tuple[np.ndarray, np.ndarray]:
-    if len(x) != len(y):
-        raise LengthMismatch(f"series lengths differ: {len(x)} vs {len(y)}")
-    if len(x) < min_n:
-        raise InsufficientObservations(f"need at least {min_n} observations, got {len(x)}")
-    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+def _paired(*series: Sequence[float], min_n: int) -> list[np.ndarray]:
+    n = len(series[0])
+    for other in series[1:]:
+        if len(other) != n:
+            raise LengthMismatch(f"series lengths differ: {n} vs {len(other)}")
+    if n < min_n:
+        raise InsufficientObservations(f"need at least {min_n} observations, got {n}")
+    return [np.asarray(x, dtype=float) for x in series]
 
 
 def _ln_beta_half(a: float) -> float:
@@ -283,7 +287,8 @@ def ols(
 
     The design matrix must already include its intercept column. Raises
     ConstantSeries when every response is equal, and NumericOverflow when a
-    sum of squares or a standard error overflows float64.
+    sum of squares or a standard error overflows float64, or when the total
+    sum of squares underflows it (a fit would then read r squared 1, p 0).
     """
     X = np.asarray(design, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -318,10 +323,12 @@ def ols(
         se = np.sqrt(np.diag(ssr / df * xtx_inv))
     if not (math.isfinite(ssr) and math.isfinite(sst) and np.isfinite(se).all()):
         raise NumericOverflow("the regression overflows float64")
+    if sst < np.finfo(float).tiny:
+        raise NumericOverflow("the regression underflows float64")
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0, beta / se, np.inf)
     p_values = [_t_p_value(float(t), df) for t in t_stats]
-    r_squared = 1.0 - ssr / sst if sst > 0.0 else 1.0
+    r_squared = 1.0 - ssr / sst
 
     return RegressionResult(
         coefficients=dict(zip(names, map(float, beta))),
@@ -386,18 +393,19 @@ class GramTable:
     1 + i weights them by replicate i of ``_resample_counts(seed, n, n_boot)``.
     ``scales[j]`` is column j's standard deviation, or None where standardizing
     it overflows float64; z_j is then zero, so only the fits that use it fail.
+    ``data[j]`` is column j as given, for the refit of a singular replicate.
     """
 
     entries: np.ndarray
     scales: tuple[Optional[float], ...]
-    n: int
+    data: np.ndarray
     n_boot: int
     seed: int
 
 
 def gram_table(columns: Sequence[Sequence[float]], n_boot: int, seed: int) -> GramTable:
-    """The Gram table of equally long columns: each replicate weights the same n rows."""
-    data = np.asarray(columns, dtype=float)
+    """The Gram table of equally long columns, at least 10 rows: each replicate weights the same rows."""
+    data = np.array(_paired(*columns, min_n=10))
     n_columns, n = data.shape
     n_boot = max(n_boot, 0)
     design = np.empty((n, 1 + n_columns))
@@ -418,7 +426,7 @@ def gram_table(columns: Sequence[Sequence[float]], n_boot: int, seed: int) -> Gr
         for start in range(0, n_boot, _BOOT_BLOCK):
             block = counts[start : start + _BOOT_BLOCK]
             np.matmul(block.astype(float), products, out=entries[1 + start : 1 + start + len(block)])
-    return GramTable(entries=entries, scales=tuple(scales), n=n, n_boot=n_boot, seed=seed)
+    return GramTable(entries=entries, scales=tuple(scales), data=data, n_boot=n_boot, seed=seed)
 
 
 def _gram_slice(table: GramTable, columns: tuple[int, int, int]) -> np.ndarray:
@@ -460,15 +468,7 @@ def _bootstrap_p(samples: np.ndarray) -> float:
     return min(1.0, 2.0 * min(below, above))
 
 
-def mediate(
-    treatment: Sequence[float],
-    mediator: Sequence[float],
-    outcome: Sequence[float],
-    n_boot: int = 1000,
-    seed: int = 0,
-    table: Optional[GramTable] = None,
-    columns: tuple[int, int, int] = (0, 1, 2),
-) -> MediationResult:
+def mediate(table: GramTable, columns: tuple[int, int, int] = (0, 1, 2)) -> MediationResult:
     """Linear product-of-coefficients mediation with bootstrap inference.
 
     Fits mediator ~ treatment and outcome ~ treatment + mediator; the
@@ -478,32 +478,25 @@ def mediate(
     per-replicate substreams make the result independent of evaluation
     order. The point estimate is the replicate whose every weight is one.
 
-    Mediations over the same rows share one ``table`` from ``gram_table``
-    (same n_boot and seed), whose ``columns`` hold treatment, mediator and
-    outcome; without one, mediate builds the table of its own three columns.
+    ``table`` comes from ``gram_table`` and fixes the rows, the number of
+    replicates and the seed; ``columns`` name its treatment, mediator and
+    outcome columns. Mediations over the same rows share one table.
     """
-    t, m = _paired(treatment, mediator, min_n=10)
-    _, y = _paired(treatment, outcome, min_n=10)
-    n = len(t)
-    n_boot = max(n_boot, 0)
-    if table is None:
-        table = gram_table((t, m, y), n_boot, seed)
-    elif (table.n, table.n_boot, table.seed) != (n, n_boot, seed):
-        raise ValueError("the Gram table holds other rows, replicates or seed")
     scales = [table.scales[c] for c in columns]
     if None in scales:
         raise NumericOverflow("a series overflows float64 when standardized")
 
     acme_all, ade_all, singular = _weighted_effects(_gram_slice(table, columns), scales)
+    t, m, y = (table.data[c] for c in columns)
     if singular[0]:
         acme_all[0], ade_all[0] = _mediation_point(t, m, y)
     for i in np.flatnonzero(singular[1:]):
-        idx = _resample_indices(seed, n, i)
+        idx = _resample_indices(table.seed, len(t), i)
         acme_all[1 + i], ade_all[1 + i] = _mediation_point(t[idx], m[idx], y[idx])
     acme, ade = float(acme_all[0]), float(ade_all[0])
     total = acme + ade
 
-    if n_boot == 0:
+    if table.n_boot == 0:
         return MediationResult(
             total_effect=total, acme=acme, ade=ade,
             acme_ci=None, ade_ci=None, total_ci=None,
@@ -525,5 +518,5 @@ def mediate(
         acme_p=acme_p,
         ade_p=ade_p,
         total_p=total_p,
-        n_boot=n_boot,
+        n_boot=table.n_boot,
     )

@@ -138,6 +138,15 @@ class TestDistanceMatrix:
         assert matrix.get("FR", "FR") == 0.0 and matrix.get("IT", "IT") == 0.0
         assert matrix.get("IT", "DE") is None
 
+    def test_country_outside_the_registry_has_no_distance(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("iso_a,iso_b,distance\nFR,DE,0.4\n")
+        registry = load_registry()
+        assert "ZZ" not in registry
+        for matrix in (load_distance_matrix(path, registry), compute_matrix(registry, "geo")):
+            assert matrix.get("ZZ", "ZZ") is None
+            assert matrix.get("ZZ", "FR") is None and matrix.get("FR", "ZZ") is None
+
     def test_conflicting_duplicate(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("iso_a,iso_b,distance\nFR,DE,0.4\nDE,FR,0.5\n")

@@ -7,6 +7,8 @@ stages, such as a distance joined to the wrong kind.
 """
 
 import csv
+import hashlib
+import random
 
 import pytest
 
@@ -14,7 +16,10 @@ from cultnovelty.cli import main
 
 from conftest import FIXTURES
 
-SCORES = FIXTURES / "golden" / "scores.csv"
+GOLDEN = FIXTURES / "golden"
+CORPUS = FIXTURES / "recipes_50.jsonl"
+DISHES = FIXTURES / "dishes_sample.json"
+SCORES = GOLDEN / "scores.csv"
 LINGUISTIC = FIXTURES / "linguistic.csv"
 RELIGIOUS = FIXTURES / "religious.csv"
 
@@ -70,3 +75,28 @@ def test_distance_scale(tmp_path, n_boot):
                     assert float(m) == factor * float(b), where
                 else:
                     assert m == b, where
+
+
+@pytest.mark.parametrize("shuffle_seed", [1, 2, 3])
+def test_corpus_line_order(tmp_path, shuffle_seed):
+    # build sorts the matched documents by id before its seeded shuffle, so the
+    # order of the corpus lines reaches no output but the corpus digest
+    lines = CORPUS.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(shuffle_seed).shuffle(lines)
+    corpus = tmp_path / "recipes_50.jsonl"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["build", "--corpus", str(corpus), "--dishes", str(DISHES), "--seed", "17",
+                 "--output-dir", str(out)]) == 0
+
+    golden_digest = hashlib.sha256(CORPUS.read_bytes()).hexdigest()
+    digest = hashlib.sha256(corpus.read_bytes()).hexdigest()
+    assert digest != golden_digest
+    manifests = sorted(p.name for p in (GOLDEN / "manifests").glob("*.json"))
+    assert sorted(p.name for p in (out / "manifests").glob("*.json")) == manifests
+    for name in ["eligibility.csv", "manifests/documents.jsonl"] + [f"manifests/{m}" for m in manifests]:
+        want = (GOLDEN / name).read_text(encoding="utf-8")
+        if name.endswith(".json"):
+            assert f'"corpus_sha256": "{golden_digest}"' in want
+            want = want.replace(golden_digest, digest)
+        assert (out / name).read_text(encoding="utf-8") == want, name

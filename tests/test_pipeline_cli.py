@@ -22,6 +22,7 @@ from cultnovelty.builder import load_dish_specs, matched_documents
 from cultnovelty.cli import _config_from_args, build_parser, main
 from cultnovelty.distances import bundled_registry, load_registry
 from cultnovelty.pipeline import (
+    ANALYZE_TABLES,
     SCORE_COLUMNS,
     RunConfig,
     cmd_analyze,
@@ -613,6 +614,28 @@ class TestAnalyze:
         for path in sorted(analyzed.glob("*.csv")):
             assert "np.float64(" not in path.read_text(), path.name
 
+    def test_blank_line_in_scores_is_skipped(self, tmp_path):
+        lines = GOLDEN_SCORES.read_text(encoding="utf-8").splitlines()
+        lines.insert(4, "")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["analyze", "--scores", str(scores), "--linguistic", LINGUISTIC,
+                     "--religious", RELIGIOUS, "--n-boot", "0", "--output-dir", str(out)]) == 0
+        # the tables that do not depend on --n-boot
+        for name in ("correlations_metrics.csv", "correlations_distances.csv", "regressions.csv",
+                     "marginal.csv"):
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_scores_of_only_a_header_give_tables_of_only_a_header(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(",".join(SCORE_COLUMNS) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["analyze", "--scores", str(scores), "--output-dir", str(out)]) == 0
+        assert "from 0 row(s)" in capsys.readouterr().out
+        for name, header in ANALYZE_TABLES.items():
+            assert read_csv(out / name) == [list(header)], name
+
     def test_zero_country_overlap_gives_empty_regressions(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir(parents=True)
@@ -755,6 +778,30 @@ class TestOverflowingRegression:
         for name in ("regressions.csv", "marginal.csv"):
             kinds = {row[0] for row in read_csv(out / name)[1:]}
             assert kinds == {"iw", "geo", "religious"}
+
+    def test_distances_whose_squares_underflow_skip_their_regressions(self, tmp_path, caplog):
+        # finite and accepted by the loader, but the squared deviations underflow
+        # float64: a fit would report r squared 1 and every p 0
+        lines = Path(LINGUISTIC).read_text(encoding="utf-8").splitlines()
+        scaled = [f"{a},{b},{float(d) * 1e-170!r}" for a, b, d in (line.split(",") for line in lines[1:])]
+        linguistic = tmp_path / "linguistic.csv"
+        linguistic.write_text("\n".join([lines[0], *scaled]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="cultnovelty.pipeline"):
+            code = main(["analyze", "--scores", str(GOLDEN_SCORES), "--linguistic", str(linguistic),
+                         "--religious", RELIGIOUS, "--n-boot", "0", "--output-dir", str(out)])
+        assert code == 0
+        metrics = ("newness", "uniqueness", "difference", "new_surprise", "divergent_surprise")
+        assert [m for m in caplog.messages if "linguistic" in m and "skipped" in m] == [
+            "analyze: full linguistic regression skipped (the regression underflows float64)"
+        ] + [f"analyze: marginal linguistic ~ {metric} skipped (the regression underflows float64)"
+             for metric in metrics]
+        for name in ("regressions.csv", "marginal.csv"):
+            assert {row[0] for row in read_csv(out / name)[1:]} == {"iw", "geo", "religious"}
+        # pearson rescales by a power of two, so the correlations keep their rows
+        correlations = [row for row in read_csv(out / "correlations_distances.csv")[1:]
+                        if row[0] == "linguistic"]
+        assert len(correlations) == 5 and all(row[3] and row[4] for row in correlations)
 
     def test_metric_that_overflows_skips_only_its_mediations(self, tmp_path, caplog):
         # every kind's 15 mediations share one Gram table; the overflowing
@@ -1312,17 +1359,20 @@ class TestBadScoreInputs:
 
     @pytest.mark.parametrize(
         "cell,message",
-        [("abc", "newness is not a finite number: 'abc'"), (None, "newness is missing"),
+        [("abc", "newness is not a finite number: 'abc'"),
+         # an int cuts the row to that many cells
+         (SCORE_COLUMNS.index("newness"), "newness is missing"),
+         (2, "appearance is missing"),
          ("nan", "newness is not a finite number: 'nan'"),
          ("-inf", "newness is not a finite number: '-inf'")],
-        ids=["non_numeric", "missing", "nan", "infinite"],
+        ids=["non_numeric", "missing", "cut_to_two_cells", "nan", "infinite"],
     )
     def test_bad_score_cell_exits_two(self, built, capsys, cell, message):
         cmd_score(config_for(built.parent))
         scores = built / "scores.csv"
         rows = read_csv(scores)
         at = rows[0].index("newness")
-        rows[3] = rows[3][:at] if cell is None else rows[3][:at] + [cell] + rows[3][at + 1:]
+        rows[3] = rows[3][:cell] if isinstance(cell, int) else rows[3][:at] + [cell] + rows[3][at + 1:]
         with scores.open("w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
         code = main(["analyze", "--output-dir", str(built)])

@@ -324,6 +324,14 @@ class TestOls:
         with pytest.raises(ConstantSeries):
             ols(np.column_stack([np.ones(8), x]), [value] * 8, names=("const", "x"))
 
+    def test_response_whose_squares_underflow_raises(self):
+        # its squared deviations underflow to zero: a fit would report r squared 1
+        # and every p 0, where pearson gives r 0.28 and p 0.49
+        y = [0.0, 1e-170, 0.0, 2e-170, 0.0, 1e-170, 3e-170, 0.0]
+        x = np.arange(8, dtype=float)
+        with pytest.raises(NumericOverflow, match="underflows"):
+            ols(np.column_stack([np.ones(8), x]), y, names=("const", "x"))
+
     def test_matches_reference_implementation(self):
         # golden values frozen from an independent statistics package
         rng = np.random.default_rng(2718)
@@ -367,6 +375,11 @@ class TestOls:
             assert np.all(np.abs(design.T @ resid) <= bound)
 
 
+def mediate_alone(t, m, y, n_boot, seed=0):
+    """mediate on the Gram table of its own three columns."""
+    return mediate(gram_table((t, m, y), n_boot, seed))
+
+
 class TestMediate:
     def make_system(self, seed=123, n=300):
         rng = np.random.default_rng(seed)
@@ -377,12 +390,12 @@ class TestMediate:
 
     def test_total_is_acme_plus_ade_exactly(self):
         t, m, y = self.make_system()
-        result = mediate(t, m, y, n_boot=50, seed=4)
+        result = mediate_alone(t, m, y, 50, 4)
         assert result.total_effect == result.acme + result.ade
 
     def test_fully_mediated_system(self):
         t, m, y = self.make_system()
-        result = mediate(t, m, y, n_boot=500, seed=4)
+        result = mediate_alone(t, m, y, 500, 4)
         assert result.acme == pytest.approx(6.0, abs=0.3)
         assert result.acme_ci[0] <= 6.0 <= result.acme_ci[1]
         assert result.ade_ci[0] <= 0.0 <= result.ade_ci[1]
@@ -393,25 +406,25 @@ class TestMediate:
         t = rng.normal(size=n)
         m = rng.normal(size=n)  # unrelated to treatment
         y = 1.5 * t + rng.normal(size=n) * 0.1
-        result = mediate(t, m, y, n_boot=200, seed=3)
+        result = mediate_alone(t, m, y, 200, 3)
         assert abs(result.acme) < 0.05
         assert result.total_effect == pytest.approx(result.ade, abs=0.05)
 
     def test_seed_reproducibility_bit_identical(self):
         t, m, y = self.make_system()
-        one = mediate(t, m, y, n_boot=300, seed=99)
-        two = mediate(t, m, y, n_boot=300, seed=99)
+        one = mediate_alone(t, m, y, 300, 99)
+        two = mediate_alone(t, m, y, 300, 99)
         assert one == two
 
     def test_no_bootstrap_degrades_to_point_estimates(self):
         t, m, y = self.make_system()
-        result = mediate(t, m, y, n_boot=0)
+        result = mediate_alone(t, m, y, 0)
         assert result.acme_ci is None and result.ade_p is None
         assert result.total_effect == result.acme + result.ade
 
     @staticmethod
     def assert_matches_oracle(t, m, y, n_boot, seed):
-        got = mediate(t, m, y, n_boot=n_boot, seed=seed)
+        got = mediate_alone(t, m, y, n_boot, seed)
         want = oracle_mediate(t, m, y, n_boot, seed)
         close = partial(pytest.approx, rel=1e-10, abs=1e-12)
         assert got.acme == close(want["acme"])
@@ -459,12 +472,16 @@ class TestMediate:
 
     def test_too_short(self):
         with pytest.raises(InsufficientObservations):
-            mediate([1.0] * 5, [1.0] * 5, [1.0] * 5, n_boot=0)
+            mediate_alone([1.0] * 5, [1.0] * 5, [1.0] * 5, 0)
 
     def test_overflowing_series_raises(self):
         t = [1e308, 1e308] + [float(i) for i in range(10)]
         with pytest.raises(NumericOverflow):
-            mediate(t, list(range(12)), list(range(12)), n_boot=5)
+            mediate_alone(t, list(range(12)), list(range(12)), 5)
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(LengthMismatch):
+            mediate_alone(list(range(12)), list(range(11)), list(range(12)), 0)
 
 
 class TestSharedGramTable:
@@ -493,9 +510,8 @@ class TestSharedGramTable:
         outcome = len(metrics) + len(mediators)
         for i, t in enumerate(metrics):
             for j, m in enumerate(mediators):
-                got = mediate(t, m, y, n_boot=n_boot, seed=seed, table=table,
-                              columns=(i, len(metrics) + j, outcome))
-                self.assert_same(got, mediate(t, m, y, n_boot=n_boot, seed=seed))
+                got = mediate(table, columns=(i, len(metrics) + j, outcome))
+                self.assert_same(got, mediate_alone(t, m, y, n_boot, seed))
 
     def system(self, data_seed, n):
         rng = np.random.default_rng(data_seed)
@@ -536,13 +552,7 @@ class TestSharedGramTable:
                 columns = (i, self.N_METRICS + j, self.N_METRICS + self.N_MEDIATORS)
                 if i == 2:
                     with pytest.raises(NumericOverflow):
-                        mediate(t, m, y, n_boot=20, seed=0, table=table, columns=columns)
+                        mediate(table, columns=columns)
                 else:
-                    got = mediate(t, m, y, n_boot=20, seed=0, table=table, columns=columns)
-                    self.assert_same(got, mediate(t, m, y, n_boot=20, seed=0))
-
-    def test_table_of_other_rows_rejected(self):
-        metrics, mediators, y = self.system(17, n=30)
-        table = gram_table([metrics[0], mediators[0], y], 20, 0)
-        with pytest.raises(ValueError):
-            mediate(metrics[0], mediators[0], y, n_boot=20, seed=1, table=table)
+                    got = mediate(table, columns=columns)
+                    self.assert_same(got, mediate_alone(t, m, y, 20, 0))
