@@ -2,7 +2,9 @@
 # Runs the installed `cultnovelty` console script through build, score,
 # analyze and report on the fixtures at seed 17, and compares what they
 # write with the goldens byte for byte. Tier-1 imports from src/, so a data
-# file left out of the installed package would pass it; this would not.
+# file left out of the installed package would pass it; this would not. It
+# then reruns analyze on two OpenBLAS threads into OUTPUT_DIR-threads and
+# compares every table with the first run's.
 #
 # Usage: installed-cli.sh FIXTURES_DIR OUTPUT_DIR
 # Run it from outside the checkout. It stops at the first failing command.
@@ -34,3 +36,11 @@ for name in eligibility.csv scores.csv manifests/documents.jsonl $(cd "$golden" 
   cmp "$golden/$name" "$out/$name"
 done
 cmp <(cut -d, -f1-4 "$golden/mediation.csv") <(cut -d, -f1-4 "$out/mediation.csv")
+# the CLI runs OpenBLAS on one thread unless the caller sets OPENBLAS_NUM_THREADS;
+# a caller's thread count must not move any analyze table, mediation.csv included
+OPENBLAS_NUM_THREADS=2 cultnovelty analyze --n-boot 20 --scores "$out/scores.csv" \
+  --linguistic "$fixtures/linguistic.csv" --religious "$fixtures/religious.csv" \
+  --seed 17 --output-dir "$out-threads"
+for name in correlations_metrics.csv correlations_distances.csv regressions.csv marginal.csv mediation.csv; do
+  cmp "$out/$name" "$out-threads/$name"
+done

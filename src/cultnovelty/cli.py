@@ -4,12 +4,14 @@ Subcommands: build, score, analyze, distances, report. Every config field
 can come from a JSON config file (--config) and from a flag; flags win.
 lambda2 is no field to set: it follows lambda1.
 Exit codes: 0 success, 1 usage, 2 input error, 3 internal failure.
+score and analyze run numpy's OpenBLAS on one thread; OPENBLAS_NUM_THREADS overrides that.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import fields
 from typing import Optional, Sequence
@@ -96,6 +98,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # OpenBLAS reads this once, when numpy is first imported, and score and analyze
+    # are the first to import it; a caller's own value is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     logging.basicConfig(
         level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
     )

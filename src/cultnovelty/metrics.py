@@ -16,19 +16,20 @@ difference. Variations are single documents scored against it:
 - divergent_surprise: mean row-wise JSD between the two PPMI matrices over
   the lemmas that have a PPMI row on both sides.
 
-Array layout. ``build_knowledge_space`` calibrates each knowledge space
-once, and the space holds its array form: the sorted vocabulary as a
-lemma -> column index, the documents' probabilities as a dense n x V
-matrix, the pooled aggregate distribution as a V-vector, and each
-document's halved probabilities (see below). The PPMI matrix carries its
-per-lemma rows, already L1-normalized (``ppmi.PpmiRow``). ``lay_out``
-lays one variation out once, whatever it is scored against: its distinct
-lemmas, their read-only probabilities and halves, and its PPMI matrix at
-the window. ``compare`` places that layout in one knowledge space's
-vocabulary; ``score_all`` calls it once and hands the ``Comparison`` to
-newness, uniqueness and difference, and the layout's PPMI matrix to the
-two surprises. A variation scored against several knowledge spaces is
-laid out once and counted, and its PPMI matrix built, only then. The
+Array layout. ``build_knowledge_space`` counts and calibrates each
+knowledge space once, handing its count matrix to both thresholds, and
+the space holds its array form: the sorted vocabulary as a lemma ->
+column index, the documents' probabilities as a dense n x V matrix, the
+pooled aggregate distribution as a V-vector, and each document's halved
+probabilities (see below). The PPMI matrix carries its per-lemma rows,
+already L1-normalized (``ppmi.PpmiRow``). ``lay_out`` lays one variation
+out once, whatever it is scored against: its distinct lemmas, their
+read-only probabilities and halves, and its PPMI matrix at the window.
+``compare`` places that layout in one knowledge space's vocabulary;
+``score_all`` calls it once and hands the ``Comparison`` to newness,
+uniqueness and difference, and the layout's PPMI matrix to the two
+surprises. A variation scored against several knowledge spaces is laid
+out once and counted, and its PPMI matrix built, only then. The
 leave-one-out newness threshold takes each fold's "rest" counts as the
 pooled counts minus the held-out row, a block of folds at a time; the
 pairwise difference threshold compares each document with all later ones
@@ -52,7 +53,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -143,17 +144,19 @@ def _row_halves(probs: np.ndarray) -> tuple[list[float], ...]:
     return tuple((0.5 * row[row > 0.0]).tolist() for row in probs)
 
 
-def calibrate_newness_threshold(docs: Sequence[Document]) -> float:
+def calibrate_newness_threshold(docs: Sequence[Document], counts: Optional[np.ndarray] = None) -> float:
     """Leave-one-out newness threshold over a knowledge-space document set.
 
     Each document is held out in turn and compared against the aggregate of
     the rest; the strictly positive per-word contributions from all folds
     are pooled, and the threshold is their mean.
     Zero contributions are exact ties and carry no information, so they are
-    excluded from the pool.
+    excluded from the pool. ``counts`` is the documents' n x V token counts
+    from ``_count_matrix``, counted here when not given.
     """
     _require_docs(docs)
-    _, counts = _count_matrix(docs)
+    if counts is None:
+        _, counts = _count_matrix(docs)
     doc_totals = counts.sum(axis=1, keepdims=True)
     pooled_counts = counts.sum(axis=0)
     total = int(doc_totals.sum())
@@ -174,10 +177,15 @@ def calibrate_newness_threshold(docs: Sequence[Document]) -> float:
     return math.fsum(chain.from_iterable(values.tolist() for values in positive)) / pooled
 
 
-def calibrate_difference_threshold(docs: Sequence[Document]) -> float:
-    """Mean equal-weight pairwise JSD among the knowledge-space documents."""
+def calibrate_difference_threshold(docs: Sequence[Document], counts: Optional[np.ndarray] = None) -> float:
+    """Mean equal-weight pairwise JSD among the knowledge-space documents.
+
+    ``counts`` is the documents' n x V token counts from ``_count_matrix``,
+    counted here when not given.
+    """
     _require_docs(docs)
-    _, counts = _count_matrix(docs)
+    if counts is None:
+        _, counts = _count_matrix(docs)
     probs = counts / counts.sum(axis=1, keepdims=True)
     halves = _row_halves(probs)
     pair_values: list[float] = []
@@ -206,8 +214,8 @@ def build_knowledge_space(docs: Iterable[Document], window: int = DEFAULT_WINDOW
     return KnowledgeSpace(
         docs=ordered,
         ppmi=build_ppmi(ordered, window=window),
-        epsilon_newness=calibrate_newness_threshold(ordered),
-        epsilon_difference=calibrate_difference_threshold(ordered),
+        epsilon_newness=calibrate_newness_threshold(ordered, counts),
+        epsilon_difference=calibrate_difference_threshold(ordered, counts),
         ingredient_union=frozenset().union(*(d.ingredients for d in ordered)),
         mean_doc_length=aggregate.token_total / len(ordered),
         window=window,

@@ -41,9 +41,9 @@ from .errors import (
     RankDeficient,
 )
 
-# replicates per weighted Gram block: bounds the float copy of the count matrix, and
-# keeps each block's product with the n x 55 products small; at 64 rows OpenBLAS split
-# it across threads, which stalled for milliseconds per block on a 2-vCPU host
+# replicates per weighted Gram block: bounds the float copy of the count matrix at this
+# many x n, and fixes mediation.csv's bytes, since BLAS may sum a taller block's product
+# in another order (128 moved them on a generated corpus and was no faster)
 _BOOT_BLOCK = 16
 # rows of the pair-sign matrices kendall_tau holds at once: bounds them at this many x n
 _KENDALL_BLOCK = 256

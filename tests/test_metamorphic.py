@@ -7,10 +7,16 @@ stages, such as a distance joined to the wrong kind.
 """
 
 import csv
+import functools
 import hashlib
+import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from cultnovelty.cli import main
 
@@ -100,3 +106,50 @@ def test_corpus_line_order(tmp_path, shuffle_seed):
             assert f'"corpus_sha256": "{golden_digest}"' in want
             want = want.replace(golden_digest, digest)
         assert (out / name).read_text(encoding="utf-8") == want, name
+
+
+
+def _renamed_scores(names):
+    """scores.csv of build --seed 17 and score on the fixture corpus with its lemmas renamed."""
+    records = []
+    for line in CORPUS.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        record["tokens"] = [{**token, "lemma": names[token["lemma"]]} for token in record["tokens"]]
+        records.append(json.dumps(record) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, out = Path(tmp) / "recipes_50.jsonl", Path(tmp) / "out"
+        corpus.write_text("".join(records), encoding="utf-8")
+        assert main(["build", "--corpus", str(corpus), "--dishes", str(DISHES), "--seed", "17",
+                     "--output-dir", str(out)]) == 0
+        assert main(["score", "--output-dir", str(out)]) == 0
+        return (out / "scores.csv").read_bytes()
+
+
+def _lemmas():
+    lemmas = set()
+    for line in CORPUS.read_text(encoding="utf-8").splitlines():
+        lemmas.update(token["lemma"] for token in json.loads(line)["tokens"])
+    return sorted(lemmas)
+
+
+LEMMAS = _lemmas()
+
+
+@functools.lru_cache(maxsize=None)
+def _unrenamed_scores():
+    return _renamed_scores({lemma: lemma for lemma in LEMMAS})
+
+
+# a name's place in the sort order is its position in the permutation: the
+# explicit example maps the k-th lemma to the k-th name from the end. No
+# shrinking: a smaller permutation explains nothing more, and takes minutes.
+@settings(max_examples=10, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@example(list(range(len(LEMMAS) - 1, -1, -1)))
+@given(st.permutations(range(len(LEMMAS))))
+def test_lemma_renaming(order):
+    # every metric reads lemmas only as equal or different, and every sum over
+    # words is an fsum, so renaming the lemmas one to one reaches no score; the
+    # unrenamed run is compared, not the golden file, so that the relation alone
+    # decides
+    names = dict(zip(LEMMAS, (f"w{k:05d}" for k in order)))
+    assert _renamed_scores(names) == _unrenamed_scores()

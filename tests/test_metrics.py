@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from cultnovelty import metrics
 from cultnovelty.corpus import TokenDistribution, aggregate_distribution
 from cultnovelty.errors import EmptyDocument, InsufficientKB
 from cultnovelty.metrics import (
@@ -315,6 +316,16 @@ class TestKnowledgeSpace:
             calibrate_newness_threshold(kb.docs), abs=1e-12
         )
         assert kb.mean_doc_length == pytest.approx(8 / 3)
+
+    def test_documents_counted_once_per_build(self, monkeypatch):
+        # both thresholds take the count matrix the build already holds
+        calls = []
+        count_matrix = metrics._count_matrix
+        monkeypatch.setattr(metrics, "_count_matrix", lambda docs: calls.append(docs) or count_matrix(docs))
+        kb = build_knowledge_space([make_doc("1", AAB), make_doc("2", ABB), make_doc("3", ["a", "c"])])
+        assert len(calls) == 1
+        assert kb.epsilon_newness == calibrate_newness_threshold(kb.docs)
+        assert kb.epsilon_difference == calibrate_difference_threshold(kb.docs)
 
     def test_empty_document_rejected(self):
         with pytest.raises(EmptyDocument, match="document k2 has no body tokens"):
