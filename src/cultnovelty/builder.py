@@ -16,13 +16,12 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .corpus import Document
+from .corpus import MIN_KNOWLEDGE, Document
 from .distances import Registry
-from .errors import IneligibleDish, ParseError
+from .errors import ParseError
 from .ingest import check_country, json_string, parse_json
 
 DEFAULT_HOLDOUT = 0.3
-MIN_KNOWLEDGE = 2
 MIN_VARIATIONS = 2
 
 
@@ -64,6 +63,11 @@ class CorpusSplit:
 
     knowledge: tuple[Document, ...]
     variations: tuple[Document, ...]
+
+    @property
+    def eligible(self) -> bool:
+        """Both sides reach their floors: MIN_KNOWLEDGE documents and MIN_VARIATIONS."""
+        return len(self.knowledge) >= MIN_KNOWLEDGE and len(self.variations) >= MIN_VARIATIONS
 
 
 def dish_slug(name: str) -> str:
@@ -211,8 +215,8 @@ def build_split(
     matched is the output of matched_documents: sorted by id, countries
     resolved. Origin-country matches are shuffled with the seeded
     generator and floor(holdout_fraction * n) of them join the variations
-    alongside all other-country matches. Raises IneligibleDish, carrying
-    both sizes, when either side ends up below its floor of two documents.
+    alongside all other-country matches. Every split is returned; one
+    with either side below its floor is not ``eligible``.
     """
     if not 0.0 <= holdout_fraction < 1.0:
         raise ValueError("holdout_fraction must lie in [0, 1)")
@@ -226,14 +230,6 @@ def build_split(
     held_out = shuffled[:n_holdout]
     knowledge = shuffled[n_holdout:]
     variations = held_out + foreign_docs
-
-    if len(knowledge) < MIN_KNOWLEDGE or len(variations) < MIN_VARIATIONS:
-        raise IneligibleDish(
-            f"{origin}: knowledge={len(knowledge)}, variations={len(variations)} "
-            f"below floors ({MIN_KNOWLEDGE}/{MIN_VARIATIONS})",
-            kb_size=len(knowledge),
-            variation_count=len(variations),
-        )
     return CorpusSplit(
         knowledge=tuple(sorted(knowledge, key=lambda d: d.id)),
         variations=tuple(sorted(variations, key=lambda d: d.id)),

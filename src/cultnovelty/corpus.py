@@ -18,6 +18,8 @@ COARSE_TAGS = ("NOUN", "VERB", "ADJ", "ADV", "NUM", "OTHER")
 RETAINED_TAGS = frozenset({"NOUN", "VERB", "ADJ", "ADV", "NUM"})
 
 PROB_SUM_TOL = 1e-9
+# documents a knowledge space needs: build's floor on a split, and score's on a space
+MIN_KNOWLEDGE = 2
 
 
 @dataclass(frozen=True)

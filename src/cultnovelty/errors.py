@@ -39,45 +39,39 @@ class UnknownCountry(CultNoveltyError):
     """An ISO code does not exist in the loaded country registry."""
 
 
-# dataset builder
-
-class IneligibleDish(CultNoveltyError):
-    """A (dish, origin) split violates the knowledge/variation floors.
-
-    kb_size and variation_count are the sizes the split came out with.
-    """
-
-    def __init__(self, message: str, kb_size: int, variation_count: int):
-        super().__init__(message)
-        self.kb_size = kb_size
-        self.variation_count = variation_count
-
-
 # statistics
 
 class LengthMismatch(CultNoveltyError):
     """Paired series have different lengths."""
 
 
-class ConstantSeries(CultNoveltyError):
-    """A correlation input or a regression response has zero variance."""
-
-
-class AllTied(CultNoveltyError):
-    """Every value in a ranking series is tied; tau-b is undefined."""
-
-
 class DuplicateIds(CultNoveltyError):
     """A ranked list contains the same id twice."""
 
 
-class RankDeficient(CultNoveltyError):
+class UndefinedStatistic(CultNoveltyError):
+    """The statistic has no value on these rows; ``stats`` alone decides when.
+
+    Analyze leaves the statistic's cells empty, or skips its row with a
+    warning, and goes on. The other statistics errors are faults in the caller.
+    """
+
+
+class ConstantSeries(UndefinedStatistic):
+    """A correlation input or a regression response has zero variance."""
+
+
+class AllTied(UndefinedStatistic):
+    """Every value in a ranking series is tied; tau-b is undefined."""
+
+
+class RankDeficient(UndefinedStatistic):
     """The regression design matrix is not full column rank."""
 
 
-class InsufficientObservations(CultNoveltyError):
-    """Too few rows for the requested number of regression parameters."""
+class InsufficientObservations(UndefinedStatistic):
+    """Too few rows for the statistic: its floor, or the regression's parameter count."""
 
 
-class NumericOverflow(CultNoveltyError):
+class NumericOverflow(UndefinedStatistic):
     """A series is too large, or its spread too small, in magnitude for float64 arithmetic."""

@@ -57,7 +57,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Document, NoveltyScores, aggregate_distribution
+from .corpus import MIN_KNOWLEDGE, Document, NoveltyScores, aggregate_distribution
 from .divergence import clamped_fsum, equal_weight_jsds, per_word_terms
 # jsd and jsd_decomposed stay reachable here: bench/tracer.py counts calls through these names
 from .divergence import jsd, jsd_decomposed  # noqa: F401
@@ -123,8 +123,8 @@ class Comparison:
 
 
 def _require_docs(docs: Sequence[Document]) -> None:
-    if len(docs) < 2:
-        raise InsufficientKB(f"need at least 2 documents, got {len(docs)}")
+    if len(docs) < MIN_KNOWLEDGE:
+        raise InsufficientKB(f"need at least {MIN_KNOWLEDGE} documents, got {len(docs)}")
 
 
 def _count_matrix(docs: Sequence[Document]) -> tuple[dict[str, int], np.ndarray]:

@@ -41,17 +41,7 @@ from .distances import (
     distance_matrices,
     load_registry,
 )
-from .errors import (
-    AllTied,
-    ConstantSeries,
-    CultNoveltyError,
-    IneligibleDish,
-    InsufficientKB,
-    InsufficientObservations,
-    NumericOverflow,
-    ParseError,
-    RankDeficient,
-)
+from .errors import CultNoveltyError, InsufficientKB, ParseError, UndefinedStatistic
 from .ingest import PROVIDERS, parse_json, read_documents, write_documents
 
 if TYPE_CHECKING:
@@ -109,7 +99,6 @@ ANALYZE_TABLES = {
     ),
 }
 
-MIN_MEDIATION_ROWS = 10
 # beside the manifests: every document they reference, as build annotated it
 DOCUMENTS = "documents.jsonl"
 
@@ -319,18 +308,11 @@ def cmd_build(config: RunConfig) -> dict:
             continue
         for origin in sorted({doc.country for doc in matched}):
             split_seed = derive_split_seed(config.seed, dish.canonical_name, origin)
-            try:
-                split = build_split(matched, origin, config.holdout_fraction, split_seed)
-            except IneligibleDish as exc:
-                eligibility_rows.append(
-                    (
-                        dish.canonical_name,
-                        origin,
-                        str(exc.kb_size),
-                        str(exc.variation_count),
-                        "ineligible",
-                    )
-                )
+            split = build_split(matched, origin, config.holdout_fraction, split_seed)
+            eligibility_rows.append((dish.canonical_name, origin, str(len(split.knowledge)),
+                                     str(len(split.variations)),
+                                     "eligible" if split.eligible else "ineligible"))
+            if not split.eligible:
                 continue
             name = f"{dish_slug(dish.canonical_name)}__{origin}.json"
             if len(name.encode("utf-8")) > name_max:
@@ -357,15 +339,6 @@ def cmd_build(config: RunConfig) -> dict:
                     {"id": d.id, "country": d.country} for d in split.variations
                 ],
             }
-            eligibility_rows.append(
-                (
-                    dish.canonical_name,
-                    origin,
-                    str(len(split.knowledge)),
-                    str(len(split.variations)),
-                    "eligible",
-                )
-            )
 
     manifest_dir.mkdir(parents=True, exist_ok=True)
     for stale in manifest_dir.glob("*.json"):
@@ -554,12 +527,10 @@ def _metric_correlations(labels: list[Labels], values: np.ndarray, config: RunCo
     groups: dict[tuple[str, str], list[int]] = {}
     for i, (product, kb_culture, _, _) in enumerate(labels):
         groups.setdefault((product, kb_culture), []).append(i)
-    # each split of 3 or more variations: its size, each metric's values, and
-    # each metric's ranking of the variation ids (highest first, ties by id)
+    # each split: its size, each metric's values, and each metric's ranking
+    # of the variation ids (highest first, ties by id)
     splits = []
     for _, rows in sorted(groups.items()):
-        if len(rows) < 3:
-            continue
         ids = [labels[i][2] for i in rows]
         metric_values = values[rows, : len(FIVE_METRICS)].T
         rankings = [[i for _, i in sorted(zip([-v for v in column], ids))]
@@ -572,13 +543,13 @@ def _metric_correlations(labels: list[Labels], values: np.ndarray, config: RunCo
             try:
                 r_val, r_p = pearson(values[:, a], values[:, b])
                 pearson_cells = [fmt_float(r_val), fmt_float(r_p)]
-            except (ConstantSeries, InsufficientObservations):
+            except UndefinedStatistic:
                 pearson_cells = ["", ""]
             taus, tau_ps, rbos, weights = [], [], [], []
             for size, metric_values, rankings in splits:
                 try:
                     tau, tau_p = kendall_tau(metric_values[a], metric_values[b])
-                except (AllTied, InsufficientObservations):
+                except UndefinedStatistic:
                     continue
                 taus.append(tau)
                 tau_ps.append(tau_p)
@@ -619,12 +590,10 @@ def _distance_tables(
             log.warning("analyze: %d/%d rows lack a %s distance", len(labels) - n, len(labels), kind)
 
         for k, metric in enumerate(FIVE_METRICS):
-            cells = ["", ""]
-            if n >= 3:
-                try:
-                    cells = [fmt_float(v) for v in pearson(x[:, k], y)]
-                except ConstantSeries:
-                    pass
+            try:
+                cells = [fmt_float(v) for v in pearson(x[:, k], y)]
+            except UndefinedStatistic:
+                cells = ["", ""]
             correlations.append([kind, metric, str(n)] + cells)
 
         if not n:
@@ -632,7 +601,7 @@ def _distance_tables(
             continue
         try:
             full = ols(np.column_stack([np.ones(n), x]), y, names=terms)
-        except (ConstantSeries, RankDeficient, InsufficientObservations, NumericOverflow) as exc:
+        except UndefinedStatistic as exc:
             log.warning("analyze: full %s regression skipped (%s)", kind, exc)
         else:
             per_term = (full.coefficients, full.std_errors, full.t_stats, full.p_values)
@@ -644,23 +613,24 @@ def _distance_tables(
         for k, metric in enumerate(FIVE_METRICS):
             try:
                 result = ols(np.column_stack([np.ones(n), x[:, k]]), y, names=("const", metric))
-            except (ConstantSeries, RankDeficient, InsufficientObservations, NumericOverflow) as exc:
+            except UndefinedStatistic as exc:
                 log.warning("analyze: marginal %s ~ %s skipped (%s)", kind, metric, exc)
                 continue
             fit = (result.r_squared, result.coefficients[metric], result.p_values[metric])
             marginal.append([kind, metric, str(result.n_obs)] + [fmt_float(v) for v in fit])
 
-        if n < MIN_MEDIATION_ROWS:
-            continue
         # one bootstrap Gram pass for the kind's 15 mediations; each still goes
         # through pipeline.mediate, the name the benchmark's tracer wraps
-        table = gram_table([*x.T, y], config.n_boot, config.seed)
+        try:
+            table = gram_table([*x.T, y], config.n_boot, config.seed)
+        except UndefinedStatistic:  # too few rows to mediate
+            continue
         outcome = x.shape[1]
         for k, metric in enumerate(FIVE_METRICS):
             for j, mediator in enumerate(CONTROL_COLUMNS, start=len(FIVE_METRICS)):
                 try:
                     result = mediate(table, columns=(k, j, outcome))
-                except CultNoveltyError as exc:
+                except UndefinedStatistic as exc:
                     log.warning(
                         "analyze: mediation %s/%s/%s skipped (%s)", kind, metric, mediator, exc
                     )

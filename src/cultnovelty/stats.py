@@ -12,7 +12,8 @@ replicates at once, and rank-deficient replicates fall back to
 minimum-norm least squares on the raw columns. Kendall's tau-b takes its
 pair signs by comparison, as sign matrices in row blocks. Implementations
 are written against numpy and the standard library; the test suite checks
-them against independent oracles.
+them against independent oracles. Each floor on the rows lives here: a
+statistic that has no value on its rows raises an ``UndefinedStatistic``.
 
 The t-test p-value is the regularized incomplete beta I_x(df/2, 1/2),
 evaluated by the modified Lentz method (Numerical Recipes, 3rd ed., sections

@@ -15,7 +15,7 @@ from cultnovelty.builder import (
     matched_documents,
 )
 from cultnovelty.distances import CountryRecord, Registry, load_registry
-from cultnovelty.errors import IneligibleDish, ParseError
+from cultnovelty.errors import ParseError
 
 from conftest import make_doc
 from oracles import oracle_detect_country
@@ -196,15 +196,15 @@ class TestBuildSplit:
         }
 
     def test_variation_floor_violation(self):
-        with pytest.raises(IneligibleDish) as info:
-            self.split(corpus_for_split(2, 0), seed=1)
+        split = self.split(corpus_for_split(2, 0), seed=1)
+        assert not split.eligible
         # floor(0.3 * 2) = 0 held out: both origin documents stay as knowledge
-        assert (info.value.kb_size, info.value.variation_count) == (2, 0)
+        assert (len(split.knowledge), len(split.variations)) == (2, 0)
 
     def test_knowledge_floor_violation(self):
-        with pytest.raises(IneligibleDish) as info:
-            self.split(corpus_for_split(1, 5), seed=1)
-        assert (info.value.kb_size, info.value.variation_count) == (1, 5)
+        split = self.split(corpus_for_split(1, 5), seed=1)
+        assert not split.eligible
+        assert (len(split.knowledge), len(split.variations)) == (1, 5)
 
     def test_override_redirects_country(self):
         dish = DishSpec.create("Curry", country_overrides={"indian curry": "GB"})

@@ -153,3 +153,38 @@ def test_lemma_renaming(order):
     # decides
     names = dict(zip(LEMMAS, (f"w{k:05d}" for k in order)))
     assert _renamed_scores(names) == _unrenamed_scores()
+
+
+def _ordered_ids(old_ids):
+    """A strictly increasing renaming whose new ids vary in length and prefix:
+    the k-th id becomes a letter per ten ids, (k mod 10) x's, then k."""
+    new_ids = [f"{chr(ord('a') + k // 10)}{'x' * (k % 10)}{k}" for k in range(len(old_ids))]
+    assert sorted(new_ids) == new_ids and len(set(map(len, new_ids))) > 1
+    return dict(zip(sorted(old_ids), new_ids))
+
+
+def test_order_preserving_id_renaming(tmp_path):
+    # build sorts by id, shuffles each origin's documents by position, and RBO
+    # breaks its ties by id order, so ids that keep their order move no score
+    records = [json.loads(line) for line in CORPUS.read_text(encoding="utf-8").splitlines()]
+    names = _ordered_ids([record["id"] for record in records])
+    corpus = tmp_path / "recipes_50.jsonl"
+    corpus.write_text("".join(json.dumps({**record, "id": names[record["id"]]}) + "\n"
+                              for record in records), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["build", "--corpus", str(corpus), "--dishes", str(DISHES), "--seed", "17",
+                 "--output-dir", str(out)]) == 0
+    assert main(["score", "--output-dir", str(out)]) == 0
+    assert main(["analyze", "--linguistic", str(LINGUISTIC), "--religious", str(RELIGIOUS),
+                 "--n-boot", "0", "--output-dir", str(out)]) == 0
+
+    with open(SCORES, newline="", encoding="utf-8") as fh:
+        want = list(csv.reader(fh))
+    with open(out / "scores.csv", newline="", encoding="utf-8") as fh:
+        got = list(csv.reader(fh))
+    column = want[0].index("variation_id")
+    for row in want[1:]:
+        row[column] = names[row[column]]
+    assert got == want
+    assert ((out / "correlations_metrics.csv").read_bytes()
+            == (GOLDEN / "correlations_metrics.csv").read_bytes())

@@ -16,11 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cultnovelty import ingest
+from cultnovelty import ingest, pipeline
 from cultnovelty.annotation import filter_stream
 from cultnovelty.builder import load_dish_specs, matched_documents
 from cultnovelty.cli import _config_from_args, build_parser, main
 from cultnovelty.distances import bundled_registry, load_registry
+from cultnovelty.errors import LengthMismatch
 from cultnovelty.pipeline import (
     ANALYZE_TABLES,
     SCORE_COLUMNS,
@@ -694,6 +695,65 @@ class TestAnalyze:
         mediation = read_csv(out / "mediation.csv")[1:]
         assert {row[0] for row in mediation} == {"iw", "geo"}
 
+    def test_row_floors_of_small_splits_and_sparse_distances(self, tmp_path, caplog):
+        # the 12-row Moroccan split above, plus a 2-row and a 1-row split: too small
+        # for Kendall, and linguistic (7 rows) and religious (2) too sparse to regress
+        # fully or to mediate
+        cultures = ["JP"] * 3 + ["IT"] * 2 + ["MX"] * 2 + ["GR"] * 5
+        splits = [("Dish", "MA", c) for c in cultures] + [("Dish", "JP", "MA"), ("Dish", "JP", "IT"),
+                                                         ("Other", "IT", "MA")]
+        values = np.random.default_rng(0).uniform(0.0, 1.0, (len(splits), 10))
+        lines = [",".join(SCORE_COLUMNS)] + [
+            f"{product},{kb},v{i:02d},{culture}," + ",".join(fmt_float(v) for v in values[i])
+            for i, (product, kb, culture) in enumerate(splits)
+        ]
+        linguistic = tmp_path / "linguistic.csv"
+        linguistic.write_text("iso_a,iso_b,distance\nMA,JP,0.4\nIT,MA,0.7\n")
+        religious = tmp_path / "religious.csv"
+        religious.write_text("iso_a,iso_b,distance\nMA,MX,0.3\n")
+
+        def analyze(name, rows):
+            scores = tmp_path / f"{name}.csv"
+            scores.write_text("\n".join(rows) + "\n")
+            out = tmp_path / name
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="cultnovelty.pipeline"):
+                code = main(["analyze", "--scores", str(scores), "--linguistic", str(linguistic),
+                             "--religious", str(religious), "--n-boot", "30",
+                             "--output-dir", str(out)])
+            assert code == 0
+            return out, list(caplog.messages)
+
+        out, warnings = analyze("all", lines)
+        metrics = ("newness", "uniqueness", "difference", "new_surprise", "divergent_surprise")
+        assert warnings == [
+            "analyze: 8/15 rows lack a linguistic distance",
+            "analyze: full linguistic regression skipped (7 rows cannot identify 9 parameters)",
+            "analyze: 13/15 rows lack a religious distance",
+            "analyze: full religious regression skipped (2 rows cannot identify 9 parameters)",
+        ] + [f"analyze: marginal religious ~ {metric} skipped (2 rows cannot identify 2 parameters)"
+             for metric in metrics]
+        correlations = read_csv(out / "correlations_distances.csv")[1:]
+        assert [row[2:] for row in correlations if row[0] == "religious"] == [["2", "", ""]] * 5
+        assert {row[0] for row in read_csv(out / "mediation.csv")[1:]} == {"iw", "geo"}
+
+        # the 2-row and 1-row splits reach no Kendall or RBO cell
+        large, _ = analyze("large", lines[:1 + len(cultures)])
+        split_columns = slice(4, 7)  # kendall_tau, kendall_p, rbo
+        assert [row[split_columns] for row in read_csv(out / "correlations_metrics.csv")] == [
+            row[split_columns] for row in read_csv(large / "correlations_metrics.csv")]
+
+    def test_fault_inside_a_mediation_exits_three(self, tmp_path, capsys, monkeypatch):
+        # an undefined statistic skips its mediation; any other error is a fault
+        def fault(table, columns):
+            raise LengthMismatch("planted")
+
+        monkeypatch.setattr(pipeline, "mediate", fault)
+        code = main(["analyze", "--scores", str(GOLDEN_SCORES), "--linguistic", LINGUISTIC,
+                     "--religious", RELIGIOUS, "--n-boot", "0", "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert "cultnovelty: internal error: planted" in capsys.readouterr().err
+
     def test_distance_file_without_self_pairs_keeps_same_country_rows(self, tmp_path, caplog):
         # a country is at distance 0 from itself whether or not the file says so
         assert any(row[1] == row[3] for row in read_csv(GOLDEN_SCORES)[1:])  # same-country rows
@@ -1280,6 +1340,14 @@ class TestCorpusFields:
         out, origins = self.build(tmp_path, [bad_record(id="p1", title="Couscous Bowl", country=" ma ")])
         assert self.country_in_split(out, "couscous__MA.json", "p1") == "MA"
         assert not {o for o in origins if o != o.strip()}
+
+    def test_origin_of_one_record_is_ineligible_on_its_knowledge_side(self, tmp_path):
+        # one Korean couscous: no document is held out, and one is below the floor
+        # of two; the 17 couscous of other origins are its variations
+        out, _ = self.build(tmp_path, [bad_record(id="k1", title="Couscous Bowl", country="KR")])
+        rows = read_csv(out / "eligibility.csv")[1:]
+        assert ["Couscous", "KR", "1", "17", "ineligible"] in rows
+        assert not (out / "manifests" / "couscous__KR.json").exists()
 
     def test_null_title_is_empty(self, tmp_path):
         dishes = tmp_path / "dishes.json"
