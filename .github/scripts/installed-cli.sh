@@ -15,8 +15,12 @@ out="$2"
 unset PYTHONPATH
 for stage in build score "analyze --n-boot 20" report; do
   if [ "$stage" = score ]; then
-    # score reads only what build wrote: the manifests and their documents.jsonl
-    cultnovelty score --output-dir "$out"
+    # score reads only what build wrote: the manifests and their documents.jsonl.
+    # Its summary line, which bench/check.py reconciles, counts the golden rows
+    # and no failure: only a listed id absent from documents.jsonl is skipped.
+    cultnovelty score --output-dir "$out" 2>&1 | tee "$out-score.log"
+    rows=$(($(wc -l < "$fixtures/golden/scores.csv") - 1))
+    grep -qF "score: $rows rows written, 0 failures skipped" "$out-score.log"
     continue
   fi
   # unquoted, so that the analyze entry splits into its flag
@@ -26,9 +30,10 @@ for stage in build score "analyze --n-boot 20" report; do
 done
 # build, score and analyze at seed 17 must write the golden files byte for byte;
 # these analyze tables do not depend on --n-boot, so the run at 20 matches the
-# goldens written at 50 (ROADMAP item 6's mantel_p will make correlations_distances.csv
-# depend on it). Of mediation.csv only the row labels and n (distance, metric,
-# mediator, n) are compared; its values are left to tier-1's 1e-12 rule.
+# goldens written at 50 (the mantel_p of ROADMAP's "Inference at the country-pair
+# level" will make correlations_distances.csv depend on it). Of mediation.csv only
+# the row labels and n (distance, metric, mediator, n) are compared; its values are
+# left to tier-1's 1e-12 rule.
 golden="$fixtures/golden"
 diff <(cd "$golden/manifests" && ls) <(cd "$out/manifests" && ls)
 for name in eligibility.csv scores.csv manifests/documents.jsonl $(cd "$golden" && ls manifests/*.json) \

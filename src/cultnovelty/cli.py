@@ -3,7 +3,8 @@
 Subcommands: build, score, analyze, distances, report. Every config field
 can come from a JSON config file (--config) and from a flag; flags win.
 lambda2 is no field to set: it follows lambda1.
-Exit codes: 0 success, 1 usage, 2 input error, 3 internal failure.
+Exit codes: 0 success, 1 usage or configuration error, 2 input error; any
+other error is a fault: exit 3, with its traceback on stderr.
 score and analyze run numpy's OpenBLAS on one thread; OPENBLAS_NUM_THREADS overrides that.
 """
 
@@ -16,7 +17,7 @@ import sys
 from dataclasses import fields
 from typing import Optional, Sequence
 
-from .errors import CultNoveltyError, ParseError
+from .errors import ParseError
 from .ingest import PROVIDERS
 from .pipeline import (
     RunConfig,
@@ -140,10 +141,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"cultnovelty: {exc}", file=sys.stderr)
         return 2
-    except CultNoveltyError as exc:
-        print(f"cultnovelty: internal error: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
+    except Exception as exc:  # noqa: BLE001 - CLI boundary: every other error is a fault
         log.exception("unhandled failure")
         print(f"cultnovelty: internal error: {exc}", file=sys.stderr)
         return 3

@@ -1,4 +1,11 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+The errors a stage handles: ingest drops an ``EmptyAfterFilter`` record,
+``compute_matrix`` leaves a ``MissingCoordinates`` pair out, score reports
+``InsufficientKB`` as a ``ParseError``, and analyze leaves an
+``UndefinedStatistic`` cell empty or skips its row. Any other
+``CultNoveltyError`` that reaches the CLI is a fault.
+"""
 
 
 class CultNoveltyError(Exception):
@@ -42,7 +49,7 @@ class UnknownCountry(CultNoveltyError):
 # statistics
 
 class LengthMismatch(CultNoveltyError):
-    """Paired series have different lengths."""
+    """Paired series have different lengths, or two rankings different ids."""
 
 
 class DuplicateIds(CultNoveltyError):
@@ -50,11 +57,7 @@ class DuplicateIds(CultNoveltyError):
 
 
 class UndefinedStatistic(CultNoveltyError):
-    """The statistic has no value on these rows; ``stats`` alone decides when.
-
-    Analyze leaves the statistic's cells empty, or skips its row with a
-    warning, and goes on. The other statistics errors are faults in the caller.
-    """
+    """The statistic has no value on these rows; ``stats`` alone decides when."""
 
 
 class ConstantSeries(UndefinedStatistic):

@@ -33,7 +33,7 @@ out once and counted, and its PPMI matrix built, only then. The
 leave-one-out newness threshold takes each fold's "rest" counts as the
 pooled counts minus the held-out row, a block of folds at a time; the
 pairwise difference threshold compares each document with all later ones
-in one block.
+in one block, as ``difference`` compares the variation (``_block_jsds``).
 
 Bit-identity. Every divergence goes through ``divergence.per_word_terms``,
 which makes the same IEEE operations per word as the scalar formula, and
@@ -144,6 +144,17 @@ def _row_halves(probs: np.ndarray) -> tuple[list[float], ...]:
     return tuple((0.5 * row[row > 0.0]).tolist() for row in probs)
 
 
+def _block_jsds(block: np.ndarray, block_halves: Sequence, values: np.ndarray, halves: Sequence) -> list[float]:
+    """Equal-weight JSD of each row of ``block`` against one distribution, ``values`` over its columns.
+
+    ``halves`` are 0.5 * p over a whole support. A row is the first side; that moves no bit, as the
+    equal-weight terms are symmetric and ``fsum`` is exact.
+    """
+    owner, shared = np.nonzero(block)
+    pairs = [(row_halves, halves) for row_halves in block_halves]
+    return equal_weight_jsds(pairs, owner, block[owner, shared], values[shared])
+
+
 def calibrate_newness_threshold(docs: Sequence[Document], counts: Optional[np.ndarray] = None) -> float:
     """Leave-one-out newness threshold over a knowledge-space document set.
 
@@ -191,16 +202,7 @@ def calibrate_difference_threshold(docs: Sequence[Document], counts: Optional[np
     pair_values: list[float] = []
     for i in range(len(docs) - 1):
         columns = np.flatnonzero(probs[i])
-        later = probs[i + 1:, columns]
-        owner, shared = np.nonzero(later)
-        pair_values.extend(
-            equal_weight_jsds(
-                [(halves[i], halves[j]) for j in range(i + 1, len(docs))],
-                owner,
-                probs[i, columns][shared],
-                later[owner, shared],
-            )
-        )
+        pair_values.extend(_block_jsds(probs[i + 1:, columns], halves[i + 1:], probs[i, columns], halves[i]))
     return math.fsum(pair_values) / len(pair_values)
 
 
@@ -302,16 +304,8 @@ def difference(c: Comparison) -> float:
     Document-to-document distances use equal mixture weights; two single
     documents carry no meaningful size asymmetry.
     """
-    doc_probs = c.kb.doc_probs[:, c.columns]
-    owner, shared = np.nonzero(doc_probs)
-    distances = equal_weight_jsds(
-        [(doc_half, c.variation.halves) for doc_half in c.kb.doc_halves],
-        owner,
-        doc_probs[owner, shared],
-        c.known[shared],
-    )
-    exceeding = sum(1 for value in distances if value > c.kb.epsilon_difference)
-    return exceeding / len(c.kb.docs)
+    distances = _block_jsds(c.kb.doc_probs[:, c.columns], c.kb.doc_halves, c.known, c.variation.halves)
+    return sum(value > c.kb.epsilon_difference for value in distances) / len(c.kb.docs)
 
 
 def new_surprise(kb_ppmi: PpmiMatrix, var_ppmi: PpmiMatrix) -> float:

@@ -41,7 +41,7 @@ from .distances import (
     distance_matrices,
     load_registry,
 )
-from .errors import CultNoveltyError, InsufficientKB, ParseError, UndefinedStatistic
+from .errors import InsufficientKB, ParseError, UndefinedStatistic
 from .ingest import PROVIDERS, parse_json, read_documents, write_documents
 
 if TYPE_CHECKING:
@@ -55,8 +55,8 @@ log = logging.getLogger(__name__)
 # They are looked up in this module's globals, where the benchmark's tracer
 # (bench/tracer.py) wraps them as pipeline.score_all and so on, before any
 # stage has run. So they are bound here on first use, by _load_numeric, and
-# never over a name already bound. This goes when ROADMAP items 1 and 3
-# split the stages into modules that import what they run.
+# never over a name already bound. This goes when the stages are split into
+# modules that import what they run (ROADMAP, "One module per stage").
 _NUMERIC = {
     "metrics": ("build_knowledge_space", "lay_out", "score_all"),
     "stats": ("gram_table", "kendall_tau", "mediate", "ols", "pearson", "rbo"),
@@ -417,6 +417,7 @@ def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Pa
     after its last row and the knowledge spaces after their dish, so
     besides the documents the stage holds one dish's knowledge spaces and
     one layout at a time. Rows are written sorted, whatever the order.
+    A listed id absent from documents.jsonl is the only failure it skips.
     """
     _load_numeric()
     out_dir = Path(config.output_dir)
@@ -466,15 +467,9 @@ def cmd_score(config: RunConfig, manifest_paths: Optional[Sequence[Union[str, Pa
             for key, country in variations.items():
                 listings.setdefault(key, []).append((origin, kb, country))
         for (docs_path, doc_id), listed in listings.items():
-            v = None  # laid out at its first row; a failed layout fails each of its rows
-            for origin, kb, country in listed:
-                try:
-                    if v is None:
-                        v = lay_out(documents[docs_path][doc_id], config.pmi_window)
-                    rows.append((product, origin, doc_id, country) + _score_one(kb, v, config))
-                except CultNoveltyError as exc:
-                    log.warning("scoring %s against %s/%s failed: %s", doc_id, product, origin, exc)
-                    failures += 1
+            v = lay_out(documents[docs_path][doc_id], config.pmi_window)
+            rows.extend((product, origin, doc_id, country) + _score_one(kb, v, config)
+                        for origin, kb, country in listed)
 
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -231,52 +231,33 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
 
 
 def rbo(list_a: Sequence[str], list_b: Sequence[str], p: float = 0.9) -> float:
-    """Extrapolated rank-biased overlap of two duplicate-free rankings.
+    """Rank-biased overlap of two orderings of the same ids.
 
-    Overlap fractions at increasing depth are weighted geometrically by p
-    and extrapolated past the end of the shorter list, so the result stays
-    in [0, 1] for rankings of unequal length.
+    Overlap fractions at increasing depth are weighted geometrically by p,
+    and the full overlap at the last depth k carries the rest of the weight,
+    p**k. Raises DuplicateIds when a ranking repeats an id, and
+    LengthMismatch when the two rankings do not hold the same ids.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("persistence p must lie strictly inside (0, 1)")
     for name, lst in (("a", list_a), ("b", list_b)):
         if len(set(lst)) != len(lst):
             raise DuplicateIds(f"ranking {name} repeats an id")
-    if not list_a or not list_b:
-        return 0.0
+    if set(list_a) != set(list_b):  # neither repeats an id, so the lengths agree too
+        raise LengthMismatch("rbo compares two orderings of the same ids")
     if list(list_a) == list(list_b):
         return 1.0
-    short, long_ = sorted((list(list_a), list(list_b)), key=len)
-    s, l = len(short), len(long_)
-
-    seen_short: set[str] = set()
-    seen_long: set[str] = set()
-    overlap = 0
-    overlap_at: dict[int, int] = {}
-    sum1 = 0.0
-    for depth in range(1, l + 1):
-        long_item = long_[depth - 1]
-        short_item = short[depth - 1] if depth <= s else None
-        if short_item == long_item:
+    seen_a, seen_b = set(), set()
+    overlap, weighted = 0, 0.0
+    for depth, (item_a, item_b) in enumerate(zip(list_a, list_b), start=1):
+        if item_a == item_b:
             overlap += 1
         else:
-            if short_item is not None:
-                if short_item in seen_long:
-                    overlap += 1
-                seen_short.add(short_item)
-            if long_item in seen_short:
-                overlap += 1
-            seen_long.add(long_item)
-        overlap_at[depth] = overlap
-        sum1 += overlap / depth * p**depth
-
-    x_s = overlap_at[s]
-    x_l = overlap_at[l]
-    sum2 = sum(
-        x_s * (depth - s) / (s * depth) * p**depth for depth in range(s + 1, l + 1)
-    )
-    sum3 = ((x_l - x_s) / l + x_s / s) * p**l
-    return (1.0 - p) / p * (sum1 + sum2) + sum3
+            overlap += (item_a in seen_b) + (item_b in seen_a)
+            seen_a.add(item_a)
+            seen_b.add(item_b)
+        weighted += overlap / depth * p**depth
+    return (1.0 - p) / p * weighted + p ** len(list_a)
 
 
 def ols(

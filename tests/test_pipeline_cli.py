@@ -393,6 +393,30 @@ class TestScore:
             scores.append((out / "scores.csv").read_bytes())
         assert scores[0] == scores[1]
 
+    @pytest.mark.parametrize("name, error", [
+        ("score_all", "LengthMismatch"), ("lay_out", "LengthMismatch"), ("score_all", "RuntimeError"),
+    ])
+    def test_fault_inside_scoring_exits_three(self, tmp_path, name, error):
+        # no row is skipped for an error while scoring: it is a fault, like one inside a mediation
+        out = tmp_path / "out"
+        assert main(["build", "--corpus", CORPUS, "--dishes", DISHES, "--seed", "17",
+                     "--output-dir", str(out)]) == 0
+        code = (
+            "import sys\n"
+            "from cultnovelty import cli, pipeline\n"
+            "from cultnovelty.errors import LengthMismatch\n"
+            "def fault(*args):\n"
+            f"    raise {error}('planted')\n"
+            f"pipeline.{name} = fault\n"  # _load_numeric binds no name already bound
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code, "score", "--output-dir", str(out)],
+                              env=src_env(), timeout=60, capture_output=True, text=True)
+        assert done.returncode == 3, done.stderr
+        assert "cultnovelty: internal error: planted" in done.stderr
+        assert "Traceback" in done.stderr
+        assert not (out / "scores.csv").exists()
+
 
 class TestScoreReadsBuildOutputs:
     """score reads the manifests and the documents.jsonl beside them, never the corpus."""

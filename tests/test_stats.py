@@ -257,36 +257,43 @@ class TestRbo:
         for p in (0.5, 0.9, 0.99):
             assert rbo(["a", "b", "c"], ["a", "b", "c"], p) == 1.0
 
-    def test_disjoint(self):
-        assert rbo(["a", "b"], ["c", "d"], 0.9) == 0.0
+    @pytest.mark.parametrize("list_a, list_b", [
+        (["a", "b"], ["c", "d"]),
+        (["a", "b"], ["a", "c"]),
+        (["a", "b"], ["b"]),
+        (["a"], ["a", "b"]),
+    ], ids=["disjoint", "one_id_differs", "shorter_b", "shorter_a"])
+    def test_different_ids_rejected(self, list_a, list_b):
+        # analyze ranks one split's ids twice; anything else is a fault in the caller
+        with pytest.raises(LengthMismatch):
+            rbo(list_a, list_b, 0.9)
 
     def test_swap_matches_oracle(self):
         value = rbo(["a", "b", "c"], ["b", "a", "c"], 0.9)
         assert value == pytest.approx(oracle_rbo(["a", "b", "c"], ["b", "a", "c"], 0.9), abs=1e-12)
 
+    @staticmethod
+    def two_orderings(rng, size):
+        ids = [f"i{k}" for k in range(rng.randint(1, size))]
+        return rng.sample(ids, len(ids)), rng.sample(ids, len(ids))
+
     def test_matches_oracle_randomized(self):
         rng = random.Random(44)
-        ids = [f"i{k}" for k in range(12)]
         for _ in range(50):
-            a = rng.sample(ids, rng.randint(1, 12))
-            b = rng.sample(ids, rng.randint(1, 12))
+            a, b = self.two_orderings(rng, 12)
             p = rng.choice([0.5, 0.8, 0.9, 0.95])
             assert rbo(a, b, p) == pytest.approx(oracle_rbo(a, b, p), abs=1e-12)
 
     def test_symmetric(self):
         rng = random.Random(45)
-        ids = [f"i{k}" for k in range(8)]
         for _ in range(20):
-            a = rng.sample(ids, rng.randint(1, 8))
-            b = rng.sample(ids, rng.randint(1, 8))
+            a, b = self.two_orderings(rng, 8)
             assert rbo(a, b, 0.9) == pytest.approx(rbo(b, a, 0.9), abs=1e-12)
 
     def test_bounded(self):
         rng = random.Random(46)
-        ids = [f"i{k}" for k in range(10)]
         for _ in range(50):
-            a = rng.sample(ids, rng.randint(1, 10))
-            b = rng.sample(ids, rng.randint(1, 10))
+            a, b = self.two_orderings(rng, 10)
             assert 0.0 <= rbo(a, b, 0.9) <= 1.0 + 1e-12
 
     def test_duplicates_rejected(self):
